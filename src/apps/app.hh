@@ -18,6 +18,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/fields.hh"
 #include "common/random.hh"
 #include "nvm/framework.hh"
 
@@ -60,6 +61,13 @@ struct AppParams
      */
     std::size_t arrayLen = 4096;
 };
+
+void
+visitFields(auto &v, FieldsOf<AppParams> auto &p)
+{
+    v("seed", p.seed);
+    v("array_len", p.arrayLen);
+}
 
 /** A workload generating operations through the framework. */
 class App

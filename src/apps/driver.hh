@@ -20,6 +20,14 @@ struct RunSpec
     std::uint64_t seed = 42;
 };
 
+void
+visitFields(auto &v, FieldsOf<RunSpec> auto &s)
+{
+    v("txns", s.txns);
+    v("ops_per_txn", s.opsPerTxn);
+    v("seed", s.seed);
+}
+
 /**
  * Generate the full workload: setup, then @p spec.txns transactions
  * of @p spec.opsPerTxn operations each (Section VI-B).

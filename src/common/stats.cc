@@ -2,28 +2,43 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 
 #include "common/logging.hh"
 
 namespace ede {
 
+std::uint64_t
+Histogram::totalSamples() const
+{
+    return std::accumulate(buckets_.begin(), buckets_.end(),
+                           std::uint64_t{0});
+}
+
+double
+Histogram::fraction(std::size_t i) const
+{
+    const std::uint64_t total = totalSamples();
+    return total ? static_cast<double>(buckets_.at(i)) / total : 0.0;
+}
+
 double
 Histogram::mean() const
 {
-    if (!total_)
+    const std::uint64_t total = totalSamples();
+    if (!total)
         return 0.0;
     double sum = 0.0;
     for (std::size_t i = 0; i < buckets_.size(); ++i)
         sum += static_cast<double>(i) * buckets_[i];
-    return sum / total_;
+    return sum / total;
 }
 
 void
 Histogram::reset()
 {
     std::fill(buckets_.begin(), buckets_.end(), 0);
-    total_ = 0;
     saturated_ = 0;
 }
 
@@ -34,22 +49,7 @@ Histogram::merge(const Histogram &other)
                "histogram shape mismatch");
     for (std::size_t i = 0; i < buckets_.size(); ++i)
         buckets_[i] += other.buckets_[i];
-    total_ += other.total_;
     saturated_ += other.saturated_;
-}
-
-void
-Histogram::restore(std::vector<std::uint64_t> counts,
-                   std::uint64_t saturated)
-{
-    ede_assert(counts.size() == buckets_.size(),
-               "histogram restore shape mismatch: ", counts.size(),
-               " != ", buckets_.size());
-    buckets_ = std::move(counts);
-    total_ = 0;
-    for (std::uint64_t c : buckets_)
-        total_ += c;
-    saturated_ = saturated;
 }
 
 Distribution::Distribution(std::uint64_t max_value,
@@ -65,7 +65,6 @@ Distribution::sample(std::uint64_t value)
     value = std::min(value, max_);
     ++buckets_[value / width_];
     sum_ += value;
-    ++total_;
 }
 
 std::uint64_t
@@ -74,16 +73,25 @@ Distribution::bucketHi(std::size_t i) const
     return std::min(max_, (i + 1) * width_ - 1);
 }
 
+std::uint64_t
+Distribution::totalSamples() const
+{
+    return std::accumulate(buckets_.begin(), buckets_.end(),
+                           std::uint64_t{0});
+}
+
 double
 Distribution::fraction(std::size_t i) const
 {
-    return total_ ? static_cast<double>(buckets_.at(i)) / total_ : 0.0;
+    const std::uint64_t total = totalSamples();
+    return total ? static_cast<double>(buckets_.at(i)) / total : 0.0;
 }
 
 double
 Distribution::mean() const
 {
-    return total_ ? static_cast<double>(sum_) / total_ : 0.0;
+    const std::uint64_t total = totalSamples();
+    return total ? static_cast<double>(sum_) / total : 0.0;
 }
 
 void
@@ -91,21 +99,6 @@ Distribution::reset()
 {
     std::fill(buckets_.begin(), buckets_.end(), 0);
     sum_ = 0;
-    total_ = 0;
-}
-
-void
-Distribution::restore(std::vector<std::uint64_t> counts,
-                      std::uint64_t sum)
-{
-    ede_assert(counts.size() == buckets_.size(),
-               "distribution restore shape mismatch: ", counts.size(),
-               " != ", buckets_.size());
-    buckets_ = std::move(counts);
-    sum_ = sum;
-    total_ = 0;
-    for (std::uint64_t c : buckets_)
-        total_ += c;
 }
 
 double

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace ede {
@@ -42,7 +43,6 @@ class Histogram
             value = buckets_.size() - 1;
         }
         ++buckets_[value];
-        ++total_;
     }
 
     /**
@@ -61,24 +61,19 @@ class Histogram
             value = buckets_.size() - 1;
         }
         buckets_[value] += weight;
-        total_ += weight;
     }
 
     /** Raw count in bucket @p i. */
     std::uint64_t count(std::size_t i) const { return buckets_.at(i); }
 
     /** Fraction of all samples that fell in bucket @p i. */
-    double
-    fraction(std::size_t i) const
-    {
-        return total_ ? static_cast<double>(buckets_.at(i)) / total_ : 0.0;
-    }
+    double fraction(std::size_t i) const;
 
     /** Mean of the recorded values. */
     double mean() const;
 
     /** Total number of samples. */
-    std::uint64_t totalSamples() const { return total_; }
+    std::uint64_t totalSamples() const;
 
     /** Number of samples clamped into the top bucket. */
     std::uint64_t saturated() const { return saturated_; }
@@ -92,19 +87,16 @@ class Histogram
     /** Accumulate another histogram of the same shape into this one. */
     void merge(const Histogram &other);
 
-    /** Raw bucket counts (snapshot serialization). */
-    const std::vector<std::uint64_t> &counts() const { return buckets_; }
-
-    /**
-     * Rebuild from serialized state.  total is recomputed as the sum
-     * of @p counts (the invariant sample() maintains).
-     */
-    void restore(std::vector<std::uint64_t> counts,
-                 std::uint64_t saturated);
+    /** The persisted state; the bucket count is fixed by construction. */
+    friend void
+    visitFields(auto &v, FieldsOf<Histogram> auto &h)
+    {
+        v("counts", h.buckets_);
+        v("saturated", h.saturated_);
+    }
 
   private:
     std::vector<std::uint64_t> buckets_;
-    std::uint64_t total_ = 0;
     std::uint64_t saturated_ = 0;
 };
 
@@ -145,32 +137,27 @@ class Distribution
     double mean() const;
 
     /** Total samples. */
-    std::uint64_t totalSamples() const { return total_; }
+    std::uint64_t totalSamples() const;
 
     /** Reset all counts. */
     void reset();
 
-    /** @name Snapshot serialization access. */
-    /// @{
-    std::uint64_t maxValue() const { return max_; }
-    std::uint64_t bucketWidth() const { return width_; }
-    const std::vector<std::uint64_t> &counts() const { return buckets_; }
+    /** Sum of every recorded value. */
     std::uint64_t sampleSum() const { return sum_; }
 
-    /**
-     * Rebuild from serialized state; the geometry must match this
-     * instance's construction parameters.  total is recomputed as
-     * the sum of @p counts.
-     */
-    void restore(std::vector<std::uint64_t> counts, std::uint64_t sum);
-    /// @}
+    /** The persisted state; the geometry is fixed by construction. */
+    friend void
+    visitFields(auto &v, FieldsOf<Distribution> auto &d)
+    {
+        v("counts", d.buckets_);
+        v("sum", d.sum_);
+    }
 
   private:
     std::uint64_t max_ = 0;
     std::uint64_t width_ = 1;
     std::vector<std::uint64_t> buckets_;
     std::uint64_t sum_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 /** Geometric mean of a list of strictly positive values. */

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "exp/fields.hh"
+
 namespace ede {
 namespace exp {
 
@@ -45,176 +47,10 @@ FingerprintHasher::field(std::string_view name, std::string_view value)
     bytes(value.data(), value.size());
 }
 
-namespace {
-
-void
-hashCoreParams(FingerprintHasher &h, const CoreParams &c)
-{
-    h.field("core.fetchWidth", static_cast<std::uint64_t>(c.fetchWidth));
-    h.field("core.issueWidth", static_cast<std::uint64_t>(c.issueWidth));
-    h.field("core.retireWidth",
-            static_cast<std::uint64_t>(c.retireWidth));
-    h.field("core.robSize", static_cast<std::uint64_t>(c.robSize));
-    h.field("core.iqSize", static_cast<std::uint64_t>(c.iqSize));
-    h.field("core.lqSize", static_cast<std::uint64_t>(c.lqSize));
-    h.field("core.sqSize", static_cast<std::uint64_t>(c.sqSize));
-    h.field("core.wbSize", static_cast<std::uint64_t>(c.wbSize));
-    h.field("core.wbDrainPerCycle",
-            static_cast<std::uint64_t>(c.wbDrainPerCycle));
-    h.field("core.mispredictPenalty", c.mispredictPenalty);
-    h.field("core.aluUnits", static_cast<std::uint64_t>(c.aluUnits));
-    h.field("core.mulUnits", static_cast<std::uint64_t>(c.mulUnits));
-    h.field("core.branchUnits",
-            static_cast<std::uint64_t>(c.branchUnits));
-    h.field("core.loadUnits", static_cast<std::uint64_t>(c.loadUnits));
-    h.field("core.storeUnits",
-            static_cast<std::uint64_t>(c.storeUnits));
-    h.field("core.aluLatency", c.aluLatency);
-    h.field("core.mulLatency", c.mulLatency);
-    h.field("core.branchLatency", c.branchLatency);
-    h.field("core.agenLatency", c.agenLatency);
-    h.field("core.forwardLatency", c.forwardLatency);
-    h.field("core.ede", static_cast<std::uint64_t>(c.ede));
-    h.field("core.dmbStCoversCvap", c.dmbStCoversCvap);
-    h.field("core.predictorEntries",
-            static_cast<std::uint64_t>(c.predictorEntries));
-    h.field("core.watchdogCycles", c.watchdogCycles);
-    h.field("core.maxCycles", c.maxCycles);
-    h.field("core.edkStallCycles", c.edkStallCycles);
-    h.field("core.edkRecoveryMode",
-            static_cast<std::uint64_t>(c.edkRecoveryMode));
-}
-
-void
-hashCacheParams(FingerprintHasher &h, std::string_view prefix,
-                const CacheParams &c)
-{
-    const std::string p(prefix);
-    h.field(p + ".sizeBytes", static_cast<std::uint64_t>(c.sizeBytes));
-    h.field(p + ".assoc", static_cast<std::uint64_t>(c.assoc));
-    h.field(p + ".lineBytes", static_cast<std::uint64_t>(c.lineBytes));
-    h.field(p + ".latency", c.latency);
-    h.field(p + ".ports", static_cast<std::uint64_t>(c.ports));
-    h.field(p + ".mshrs", static_cast<std::uint64_t>(c.mshrs));
-    h.field(p + ".inputQueue",
-            static_cast<std::uint64_t>(c.inputQueue));
-}
-
-void
-hashMemParams(FingerprintHasher &h, const MemSystemParams &m)
-{
-    hashCacheParams(h, "l1d", m.l1d);
-    hashCacheParams(h, "l2", m.l2);
-    hashCacheParams(h, "l3", m.l3);
-    h.field("dram.banks", static_cast<std::uint64_t>(m.dram.banks));
-    h.field("dram.rowBytes",
-            static_cast<std::uint64_t>(m.dram.rowBytes));
-    h.field("dram.rowHit", m.dram.rowHit);
-    h.field("dram.rowMiss", m.dram.rowMiss);
-    h.field("dram.busBurst", m.dram.busBurst);
-    h.field("dram.queueDepth",
-            static_cast<std::uint64_t>(m.dram.queueDepth));
-    h.field("nvm.readLatency", m.nvm.readLatency);
-    h.field("nvm.writeLatency", m.nvm.writeLatency);
-    h.field("nvm.bufferAccept", m.nvm.bufferAccept);
-    h.field("nvm.bufferReadHit", m.nvm.bufferReadHit);
-    h.field("nvm.lineBytes",
-            static_cast<std::uint64_t>(m.nvm.lineBytes));
-    h.field("nvm.bufferSlots",
-            static_cast<std::uint64_t>(m.nvm.bufferSlots));
-    h.field("nvm.mediaWriters",
-            static_cast<std::uint64_t>(m.nvm.mediaWriters));
-    h.field("nvm.mediaReaders",
-            static_cast<std::uint64_t>(m.nvm.mediaReaders));
-    h.field("nvm.readQueueDepth",
-            static_cast<std::uint64_t>(m.nvm.readQueueDepth));
-    h.field("map.dramBytes", m.map.dramBytes);
-    h.field("map.nvmBytes", m.map.nvmBytes);
-}
-
-} // namespace
-
 std::uint64_t
 fingerprintPoint(const ExperimentPoint &point)
 {
-    FingerprintHasher h;
-    h.field("schema", static_cast<std::uint64_t>(kResultSchemaVersion));
-    h.field("app", appName(point.app));
-    h.field("config", configName(point.config));
-    h.field("spec.txns", static_cast<std::uint64_t>(point.spec.txns));
-    h.field("spec.opsPerTxn",
-            static_cast<std::uint64_t>(point.spec.opsPerTxn));
-    h.field("spec.seed", point.spec.seed);
-    h.field("appParams.seed", point.appParams.seed);
-    h.field("appParams.arrayLen",
-            static_cast<std::uint64_t>(point.appParams.arrayLen));
-    hashCoreParams(h, point.simParams.core);
-    hashMemParams(h, point.simParams.mem);
-    h.field("coreCount",
-            static_cast<std::uint64_t>(point.simParams.coreCount));
-    // Concurrent-kernel cells only: hashing the fields exclusively
-    // when set keeps every single-app fingerprint unchanged.
-    if (point.conc) {
-        h.field("conc", true);
-        h.field("conc.app", concAppName(point.concApp));
-        h.field("conc.opsPerCore",
-                static_cast<std::uint64_t>(point.concOpsPerCore));
-        h.field("conc.seed", point.concSeed);
-    }
-    // Traffic cells only, same gating rationale as above.
-    if (point.traffic) {
-        const traffic::TrafficPlan &tp = point.trafficPlan;
-        h.field("traffic", true);
-        h.field("traffic.streams",
-                static_cast<std::uint64_t>(tp.streams));
-        h.field("traffic.txnsPerStream",
-                static_cast<std::uint64_t>(tp.txnsPerStream));
-        h.field("traffic.opsPerTxn",
-                static_cast<std::uint64_t>(tp.opsPerTxn));
-        h.field("traffic.readFraction", tp.mix.readFraction);
-        h.field("traffic.zipfTheta", tp.mix.zipfTheta);
-        h.field("traffic.keys", tp.mix.keys);
-        h.field("traffic.arrival",
-                traffic::arrivalKindName(tp.arrival.kind));
-        h.field("traffic.meanGap", tp.arrival.meanGap);
-        h.field("traffic.burstFactor", tp.arrival.burstFactor);
-        h.field("traffic.pSwitch", tp.arrival.pSwitch);
-        h.field("traffic.poolSize",
-                static_cast<std::uint64_t>(tp.arrival.poolSize));
-        h.field("traffic.thinkTime", tp.arrival.thinkTime);
-        h.field("traffic.totalTxns",
-                static_cast<std::uint64_t>(tp.totalTxns));
-        h.field("traffic.warmupPermille",
-                static_cast<std::uint64_t>(tp.warmupPermille));
-        h.field("traffic.latencyWindows",
-                static_cast<std::uint64_t>(tp.latencyWindows));
-        // The whole overload policy is hashed unconditionally inside
-        // the traffic block: every knob can change the overload
-        // records a snapshot carries.
-        const traffic::OverloadPolicy &pol = tp.policy;
-        h.field("traffic.admission",
-                traffic::admissionKindName(pol.admission));
-        h.field("traffic.queueDepth",
-                static_cast<std::uint64_t>(pol.queueDepth));
-        h.field("traffic.deadline", pol.deadline);
-        h.field("traffic.tokenRate",
-                static_cast<std::uint64_t>(pol.tokenRatePerKCycle));
-        h.field("traffic.tokenBurst",
-                static_cast<std::uint64_t>(pol.tokenBurst));
-        h.field("traffic.retryBudget",
-                static_cast<std::uint64_t>(pol.retryBudget));
-        h.field("traffic.retryBackoffBase", pol.retryBackoffBase);
-        h.field("traffic.retryBackoffCap", pol.retryBackoffCap);
-        h.field("traffic.degrade", pol.degrade);
-        h.field("traffic.shedWindow",
-                static_cast<std::uint64_t>(pol.shedWindow));
-        h.field("traffic.degradePermille",
-                static_cast<std::uint64_t>(pol.degradePermille));
-        h.field("traffic.recoverPermille",
-                static_cast<std::uint64_t>(pol.recoverPermille));
-        h.field("traffic.seed", tp.seed);
-    }
-    return h.value();
+    return fingerprintOf("point", point);
 }
 
 std::string

@@ -3,8 +3,9 @@
  * Content-addressed fingerprints for experiment points.
  *
  * The result cache keys a RunResult snapshot by a hash over *every
- * simulation input*: application, configuration, RunSpec, AppParams,
- * the full SimParams tree, and a schema version.  Any parameter an
+ * simulation input* -- the ExperimentPoint field table: application,
+ * configuration, RunSpec, AppParams, the full SimParams tree and the
+ * conc and traffic blocks -- plus a schema version.  Any parameter an
  * ablation can tweak is hashed by (name, value) pair, so adding,
  * reordering or changing a field changes the fingerprint and old
  * snapshots simply stop matching -- there is no explicit
@@ -29,8 +30,9 @@ namespace exp {
 
 /**
  * Cached-result schema/behaviour version.  Bump on any change to the
- * simulator's timing behaviour, the statistics it reports, or the
- * snapshot serialization in result_cache.cc.
+ * simulator's timing behaviour, the statistics it reports, or a field
+ * table (common/fields.hh) -- every snapshot, payload and JSON
+ * artifact is written from those tables.
  *
  * v3: skip-ahead scheduler landed (cycle counts are bit-identical to
  * the reference loop by construction, but stale v2 snapshots predate
@@ -82,8 +84,29 @@ namespace exp {
  * (with count=0 summaries now emitting null percentiles).  Timing is
  * unchanged, but the traffic snapshot layout grew, so v7 snapshots
  * must not replay.
+ *
+ * v9: one field table per persisted record drives the cache
+ * snapshot, the worker and journal payloads, the JSON artifacts and
+ * the fingerprints (exp/fields.hh).  Snapshots and payloads are
+ * keyed "<label> <value>" lines with nested records and counted lists
+ * instead of positional vectors; every list length is bounded by the
+ * input left, so a damaged count is a miss, not an allocation
+ * failure.  Snapshots now carry every statistic (the per-core
+ * breakdown on one core too, the whole traffic record), journal
+ * quarantine records carry a JobFailure payload, and JSON cells gain
+ * the point's full input tree and every counter under the tables'
+ * snake_case keys (DESIGN.md §8 item 7 lists the moved keys).
+ * Timing is unchanged, but every layout changed, so v8 snapshots and
+ * journals must not replay.
  */
-inline constexpr std::uint32_t kResultSchemaVersion = 8;
+inline constexpr std::uint32_t kResultSchemaVersion = 9;
+
+/**
+ * Hash of every field table's labels and value types (the schema
+ * test walks them).  Editing a table changes it: bump
+ * kResultSchemaVersion and set this to the new hash.
+ */
+inline constexpr std::uint64_t kResultSchemaHash = 0xd0e1690d74fbd150ull;
 
 /** FNV-1a over a stream of tagged fields. */
 class FingerprintHasher

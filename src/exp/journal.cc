@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "exp/fingerprint.hh"
+#include "exp/fields.hh"
 
 namespace ede {
 namespace exp {
@@ -14,6 +14,7 @@ namespace exp {
 namespace {
 
 constexpr const char *kJournalMagic = "ede-exp-journal-v1";
+constexpr const char *kFailureMagic = "ede-job-failure";
 
 /** FNV-1a over the record body (the line before " crc <hex>"). */
 std::uint64_t
@@ -113,25 +114,21 @@ SweepJournal::SweepJournal(std::string path, std::uint64_t sweepId,
             std::size_t index = 0;
             if (!(is >> kind >> index >> fp_hex))
                 continue;
+            std::string payload;
+            if (!(is >> payload))
+                continue;
             JournalEntry e;
             e.fingerprint =
                 std::strtoull(fp_hex.c_str(), nullptr, 16);
             if (kind == "ok") {
-                std::string payload;
-                if (!(is >> payload))
-                    continue;
                 e.ok = true;
                 e.payload = journalUnescape(payload);
             } else if (kind == "quarantine") {
-                int outcome = 0;
-                std::string msg, tail;
-                if (!(is >> outcome >> e.failure.signal >>
-                      e.failure.exitCode >> e.failure.attempts >>
-                      msg >> tail))
+                std::optional<JobFailure> f = fromWire<JobFailure>(
+                    journalUnescape(payload), kFailureMagic);
+                if (!f)
                     continue;
-                e.failure.outcome = static_cast<JobOutcome>(outcome);
-                e.failure.message = journalUnescape(msg);
-                e.failure.stderrTail = journalUnescape(tail);
+                e.failure = std::move(*f);
             } else {
                 continue;
             }
@@ -182,10 +179,7 @@ SweepJournal::recordQuarantine(std::size_t index,
 {
     std::ostringstream os;
     os << "quarantine " << index << ' ' << fingerprintHex(fingerprint)
-       << ' ' << static_cast<int>(failure.outcome) << ' '
-       << failure.signal << ' ' << failure.exitCode << ' '
-       << failure.attempts << ' ' << journalEscape(failure.message)
-       << ' ' << journalEscape(failure.stderrTail);
+       << ' ' << journalEscape(toWire(kFailureMagic, failure));
     appendSealedLine(os.str());
 }
 

@@ -4,8 +4,9 @@
  *
  * A journal records, per plan index, the durable outcome of one sweep
  * cell: either `ok` with the cell's serialized payload inline, or
- * `quarantine` with the typed JobFailure record.  Records are single
- * lines (fields percent-escaped) each sealed with an FNV-1a checksum,
+ * `quarantine` with the typed JobFailure record in the wire format
+ * (exp/fields.hh).  Records are single lines (the payload
+ * percent-escaped into one token) each sealed with an FNV-1a checksum,
  * appended and flushed one at a time -- so a sweep SIGKILLed mid-run
  * leaves at worst one torn final line, which replay detects and
  * drops.  `--resume` replays the journal and reuses every durable

@@ -44,7 +44,8 @@ struct ExperimentPoint
      * (apps/concurrent.hh) on simParams.coreCount lock-step cores
      * instead of a Table II application; `app`, `spec` and
      * `appParams` are ignored.  The conc fields are fingerprinted
-     * only when set, so single-app fingerprints are unchanged.
+     * only when set, so single-app fingerprints never depend on
+     * them.
      */
     /// @{
     bool conc = false;
@@ -67,6 +68,38 @@ struct ExperimentPoint
     traffic::TrafficPlan trafficPlan{};
     /// @}
 };
+
+/**
+ * Every simulation input of a point; the label is presentation only.
+ * The conc and traffic blocks count only when their flag is set.
+ */
+void
+visitFields(auto &v, FieldsOf<ExperimentPoint> auto &p)
+{
+    v("app", p.app, appName);
+    v("config", p.config, configName);
+    v("spec", p.spec);
+    v("app_params", p.appParams);
+    v("sim_params", p.simParams);
+    v("conc", p.conc);
+    v("conc_app", omitUnless(p.concApp, p.conc), concAppName);
+    v("conc_ops_per_core", omitUnless(p.concOpsPerCore, p.conc));
+    v("conc_seed", omitUnless(p.concSeed, p.conc));
+    v("traffic", p.traffic);
+    v("traffic_plan", omitUnless(p.trafficPlan, p.traffic));
+}
+
+/**
+ * What a point simulates, as cache snapshots and JSON cells name it:
+ * "traffic", the concurrent kernel, or the application.
+ */
+inline std::string_view
+cellAppName(const ExperimentPoint &point)
+{
+    if (point.traffic)
+        return "traffic";
+    return point.conc ? concAppName(point.concApp) : appName(point.app);
+}
 
 /** The default point label for @p app under @p cfg. */
 std::string pointLabel(AppId app, Config cfg);

@@ -11,8 +11,8 @@
  * the result-cache fingerprint.
  *
  * The struct is header-only so the pipeline can fill it without
- * linking against the experiment layer; JSON rendering lives in
- * profile.cc (linked into ede_exp for the ResultSink).
+ * linking against the experiment layer; the experiment layer's JSON
+ * sink renders it through its field table.
  */
 
 #ifndef EDE_EXP_PROFILE_HH
@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace ede {
@@ -103,6 +104,25 @@ struct HostProfile
         referenceTicking = referenceTicking || o.referenceTicking;
     }
 };
+
+void
+visitFields(auto &v, FieldsOf<HostProfile> auto &p)
+{
+    v("reference_ticking", p.referenceTicking);
+    v("wall_nanos", p.wallNanos);
+    v("mem_nanos", p.memNanos);
+    v("fetch_nanos", p.fetchNanos);
+    v("issue_nanos", p.issueNanos);
+    v("wb_nanos", p.wbNanos);
+    v("host_ticks", p.hostTicks);
+    v("skip_jumps", p.skipJumps);
+    v("skip_attempts", p.skipAttempts);
+    v("skip_nanos", p.skipNanos);
+    v("cycles_skipped", p.cyclesSkipped);
+    v("cycles_simulated", p.cyclesSimulated);
+    v.derived("cycles_per_host_sec", p.cyclesPerHostSecond());
+    v.derived("skip_ratio", p.skipRatio());
+}
 
 /**
  * Scoped phase timer: adds the elapsed nanoseconds to @p slot on
@@ -231,9 +251,6 @@ class PhaseSampler
 /** One-line human-readable summary ("12.3 Mcyc/s, 87% skipped"). */
 std::string describeProfile(const HostProfile &profile);
 
-/** JSON object fragment for the ResultSink (no trailing newline). */
-std::string profileToJson(const HostProfile &profile,
-                          const std::string &indent);
 
 } // namespace ede
 

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "exp/fingerprint.hh"
 #include "exp/plan.hh"
 #include "exp/profile.hh"
 #include "exp/worker.hh"
@@ -52,6 +53,24 @@ struct ExperimentCell
      */
     HostProfile profile;
 };
+
+/**
+ * What a cell persists -- the measured run behind its point -- and,
+ * in JSON only, its identity, inputs and host profile.
+ */
+void
+visitFields(auto &v, FieldsOf<ExperimentCell> auto &c)
+{
+    v.derived("label", c.point.label);
+    v.derived("app", cellAppName(c.point));
+    v.derived("fingerprint", fingerprintHex(c.fingerprint));
+    v.derived("from_cache", c.fromCache);
+    v.derived("point", c.point);
+    v("op_cycles", c.opCycles);
+    visitFields(v, c.result);
+    // All-zero for cache-restored cells: host time is never cached.
+    v.derived("host_perf", c.profile);
+}
 
 /** A plan's cells, in plan order, with keyed lookup. */
 class ExperimentResults

@@ -1,13 +1,12 @@
 #include "exp/result_cache.hh"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
 #include "common/logging.hh"
-#include "exp/fingerprint.hh"
+#include "exp/fields.hh"
 
 namespace ede {
 namespace exp {
@@ -16,519 +15,36 @@ namespace {
 
 constexpr const char *kMagic = "ede-exp-snapshot";
 
-void
-putScalar(std::ostream &os, const char *key, std::uint64_t v)
-{
-    os << key << ' ' << v << '\n';
-}
-
-void
-putLatency(std::ostream &os, const char *key,
-           const traffic::LatencySummary &s)
-{
-    os << key << ' ' << s.count << ' ' << s.p50 << ' ' << s.p99 << ' '
-       << s.p999 << ' ' << s.max << ' ' << s.sum << '\n';
-}
-
-void
-putCacheStats(std::ostream &os, const char *prefix, const CacheStats &c)
-{
-    os << prefix << ' ' << c.hits << ' ' << c.misses << ' '
-       << c.mshrMerges << ' ' << c.evictions << ' ' << c.writebacks
-       << ' ' << c.cleansForwarded << ' ' << c.rejects << ' '
-       << c.snoopInvalidations << ' ' << c.snoopDowngrades << '\n';
-}
-
-/** Reader over the snapshot token stream; any slip poisons it. */
-class SnapshotReader
-{
-  public:
-    explicit SnapshotReader(const std::string &text) : is_(text) {}
-
-    bool ok() const { return ok_; }
-
-    /** Consume one token and require it to equal @p key. */
-    void
-    expect(const char *key)
-    {
-        std::string tok;
-        if (!(is_ >> tok) || tok != key)
-            ok_ = false;
-    }
-
-    std::uint64_t
-    scalar(const char *key)
-    {
-        expect(key);
-        std::uint64_t v = 0;
-        if (!(is_ >> v))
-            ok_ = false;
-        return v;
-    }
-
-    std::string
-    word(const char *key)
-    {
-        expect(key);
-        std::string v;
-        if (!(is_ >> v))
-            ok_ = false;
-        return v;
-    }
-
-    std::vector<std::uint64_t>
-    vec(std::size_t n)
-    {
-        std::vector<std::uint64_t> out(n, 0);
-        for (std::uint64_t &v : out) {
-            if (!(is_ >> v))
-                ok_ = false;
-        }
-        return out;
-    }
-
-    void
-    cacheStats(const char *prefix, CacheStats &c)
-    {
-        expect(prefix);
-        if (!(is_ >> c.hits >> c.misses >> c.mshrMerges >> c.evictions
-                  >> c.writebacks >> c.cleansForwarded >> c.rejects
-                  >> c.snoopInvalidations >> c.snoopDowngrades))
-            ok_ = false;
-    }
-
-    void
-    latency(const char *key, traffic::LatencySummary &s)
-    {
-        expect(key);
-        if (!(is_ >> s.count >> s.p50 >> s.p99 >> s.p999 >> s.max
-                  >> s.sum))
-            ok_ = false;
-    }
-
-  private:
-    std::istringstream is_;
-    bool ok_ = true;
-};
-
 } // namespace
 
 std::string
 serializeCell(const ExperimentCell &cell)
 {
-    const RunResult &r = cell.result;
-    std::ostringstream os;
-    os << kMagic << ' ' << kResultSchemaVersion << '\n';
-    os << "fingerprint " << fingerprintHex(cell.fingerprint) << '\n';
-    os << "app "
-       << (cell.point.traffic ? "traffic"
-           : cell.point.conc ? concAppName(cell.point.concApp)
-                             : appName(cell.point.app))
-       << '\n';
-    os << "config " << configName(cell.point.config) << '\n';
-    putScalar(os, "opCycles", cell.opCycles);
-    putScalar(os, "cycles", r.cycles);
-    putScalar(os, "coreCount", static_cast<std::uint64_t>(r.coreCount));
-    os << "coherence " << r.coherence.snoops << ' '
-       << r.coherence.invalidations << ' ' << r.coherence.downgrades
-       << ' ' << r.coherence.dirtyHandoffs << '\n';
-
-    putScalar(os, "core.cycles", r.core.cycles);
-    putScalar(os, "core.retired", r.core.retired);
-    putScalar(os, "core.dispatched", r.core.dispatched);
-    putScalar(os, "core.issuedOps", r.core.issuedOps);
-    putScalar(os, "core.branches", r.core.branches);
-    putScalar(os, "core.mispredicts", r.core.mispredicts);
-    putScalar(os, "core.squashes", r.core.squashes);
-    putScalar(os, "core.squashedInsts", r.core.squashedInsts);
-    putScalar(os, "core.loadsForwarded", r.core.loadsForwarded);
-    putScalar(os, "core.retireStallWbFull", r.core.retireStallWbFull);
-    putScalar(os, "core.dispatchStallRob", r.core.dispatchStallRob);
-    putScalar(os, "core.dispatchStallIq", r.core.dispatchStallIq);
-    putScalar(os, "core.dispatchStallLsq", r.core.dispatchStallLsq);
-    putScalar(os, "core.edkStallChecks", r.core.edkStallChecks);
-    putScalar(os, "core.edkExternalStalls", r.core.edkExternalStalls);
-    putScalar(os, "core.edkStuckDetected", r.core.edkStuckDetected);
-    putScalar(os, "core.edkFencesSynthesized",
-              r.core.edkFencesSynthesized);
-    os << "issueHist " << r.core.issueHist.size();
-    for (std::uint64_t c : r.core.issueHist.counts())
-        os << ' ' << c;
-    os << " saturated " << r.core.issueHist.saturated() << '\n';
-
-    os << "wb " << r.wb.inserted << ' ' << r.wb.pushes << ' '
-       << r.wb.srcIdGated << ' ' << r.wb.lineGated << ' '
-       << r.wb.dmbGated << ' ' << r.wb.memRejected << '\n';
-
-    os << "nvm " << r.nvm.reads << ' ' << r.nvm.bufferReadHits << ' '
-       << r.nvm.writesAccepted << ' ' << r.nvm.writesCoalesced << ' '
-       << r.nvm.mediaWrites << ' ' << r.nvm.cleansAccepted << ' '
-       << r.nvm.bufferFullRejects << ' ' << r.nvm.transientRejects
-       << '\n';
-
-    os << "nvmOccupancy " << r.nvmOccupancy.maxValue() << ' '
-       << r.nvmOccupancy.bucketWidth() << ' '
-       << r.nvmOccupancy.numBuckets();
-    for (std::uint64_t c : r.nvmOccupancy.counts())
-        os << ' ' << c;
-    os << " sum " << r.nvmOccupancy.sampleSum() << '\n';
-
-    putCacheStats(os, "l1d", r.l1d);
-    putCacheStats(os, "l2", r.l2);
-    putCacheStats(os, "l3", r.l3);
-
-    os << "dram " << r.dram.reads << ' ' << r.dram.writes << ' '
-       << r.dram.rowHits << ' ' << r.dram.rowMisses << ' '
-       << r.dram.rejects << '\n';
-
-    // Multi-core cells (the scaling bench) append the per-core
-    // breakdown.  Single-core snapshot bytes are untouched -- the
-    // aggregate sections above already carry everything -- so the
-    // schema version stays put and existing snapshots remain valid.
-    if (r.coreCount != 1) {
-        ede_assert(r.perCore.size() ==
-                       static_cast<std::size_t>(r.coreCount),
-                   "per-core breakdown must cover every core");
-        os << "perCore " << r.perCore.size() << '\n';
-        for (const CoreRunStats &pc : r.perCore) {
-            os << "pc " << pc.core << ' ' << pc.stats.cycles << ' '
-               << pc.stats.retired << ' ' << pc.stats.dispatched << ' '
-               << pc.stats.issuedOps << ' ' << pc.stats.branches << ' '
-               << pc.stats.mispredicts << ' ' << pc.stats.squashes
-               << ' ' << pc.stats.squashedInsts << ' '
-               << pc.stats.loadsForwarded << ' '
-               << pc.stats.retireStallWbFull << ' '
-               << pc.stats.dispatchStallRob << ' '
-               << pc.stats.dispatchStallIq << ' '
-               << pc.stats.dispatchStallLsq << ' '
-               << pc.stats.edkStallChecks << ' '
-               << pc.stats.edkExternalStalls << ' '
-               << pc.stats.edkStuckDetected << ' '
-               << pc.stats.edkFencesSynthesized << '\n';
-            os << "pcHist " << pc.stats.issueHist.size();
-            for (std::uint64_t c : pc.stats.issueHist.counts())
-                os << ' ' << c;
-            os << " saturated " << pc.stats.issueHist.saturated()
-               << '\n';
-            os << "pcWb " << pc.wb.inserted << ' ' << pc.wb.pushes
-               << ' ' << pc.wb.srcIdGated << ' ' << pc.wb.lineGated
-               << ' ' << pc.wb.dmbGated << ' ' << pc.wb.memRejected
-               << '\n';
-            putCacheStats(os, "pcL1d", pc.l1d);
-        }
-    }
-
-    // Traffic cells append their exact tail-latency records.  The
-    // flag line itself is written for every cell -- the section is
-    // part of the v8 layout, not an optional trailer.
-    os << "traffic " << (r.traffic.enabled ? 1 : 0) << '\n';
-    if (r.traffic.enabled) {
-        putLatency(os, "tOpen", r.traffic.open);
-        putLatency(os, "tService", r.traffic.service);
-        putLatency(os, "tOpenWarm", r.traffic.openWarmup);
-        putLatency(os, "tOpenSteady", r.traffic.openSteady);
-        putLatency(os, "tServiceWarm", r.traffic.serviceWarmup);
-        putLatency(os, "tServiceSteady", r.traffic.serviceSteady);
-        os << "tWindows " << r.traffic.windows.size() << '\n';
-        for (const traffic::WindowLatency &w : r.traffic.windows) {
-            os << "tw " << w.window << ' ' << (w.warmup ? 1 : 0)
-               << '\n';
-            putLatency(os, "twOpen", w.open);
-            putLatency(os, "twService", w.service);
-        }
-        os << "tStreams " << r.traffic.streams.size() << '\n';
-        for (const traffic::StreamLatency &sl : r.traffic.streams) {
-            os << "ts " << sl.stream << ' ' << sl.core << ' '
-               << sl.shed << ' ' << sl.retries << ' ' << sl.failures
-               << '\n';
-            putLatency(os, "tsOpen", sl.open);
-            putLatency(os, "tsService", sl.service);
-        }
-        const traffic::OverloadResult &ov = r.traffic.overload;
-        os << "tOverload " << (ov.enabled ? 1 : 0) << '\n';
-        if (ov.enabled) {
-            os << "tOv " << ov.effectiveDepth << ' ' << ov.offered
-               << ' ' << ov.admitted << ' ' << ov.completed << ' '
-               << ov.goodput << ' ' << ov.timeouts << ' '
-               << ov.failures << ' ' << ov.steadyOffered << ' '
-               << ov.steadyGoodput << ' ' << ov.steadyHorizon << ' '
-               << ov.shedQueue << ' ' << ov.shedDeadline << ' '
-               << ov.shedToken << ' ' << ov.shedDegrade << ' '
-               << ov.retries << ' ' << ov.retryExhausted << ' '
-               << ov.degradeUp << ' ' << ov.degradeDown << ' '
-               << ov.maxDegradeLevel << '\n';
-            putLatency(os, "tOvOpen", ov.open);
-            putLatency(os, "tOvGoodput", ov.goodputOpen);
-        }
-    }
-    os << "end\n";
-    return os.str();
+    WireWriter w(kMagic);
+    w("fingerprint", fingerprintHex(cell.fingerprint));
+    w("app", cellAppName(cell.point));
+    visitFields(w, cell);
+    return w.str();
 }
 
 std::optional<ExperimentCell>
 deserializeCell(const std::string &text, const ExperimentPoint &point,
                 std::uint64_t fingerprint)
 {
-    SnapshotReader in(text);
-    if (in.scalar(kMagic) != kResultSchemaVersion || !in.ok())
-        return std::nullopt;
-    if (in.word("fingerprint") != fingerprintHex(fingerprint))
-        return std::nullopt;
-    if (in.word("app") !=
-        (point.traffic ? "traffic"
-         : point.conc ? concAppName(point.concApp)
-                      : appName(point.app)))
-        return std::nullopt;
-    if (in.word("config") != configName(point.config))
-        return std::nullopt;
-
     ExperimentCell cell;
+    std::string fp, app;
+    WireReader in(text, kMagic);
+    in("fingerprint", fp);
+    in("app", app);
+    visitFields(in, cell);
+    const RunResult &r = cell.result;
+    if (!in.done() || fp != fingerprintHex(fingerprint) ||
+        app != cellAppName(point) || r.config != point.config ||
+        r.coreCount < 1 || r.perCore.size() != r.coreCount)
+        return std::nullopt;
     cell.point = point;
     cell.fingerprint = fingerprint;
     cell.fromCache = true;
-    RunResult &r = cell.result;
-    r.config = point.config;
-
-    cell.opCycles = in.scalar("opCycles");
-    r.cycles = in.scalar("cycles");
-
-    r.coreCount = static_cast<int>(in.scalar("coreCount"));
-    if (!in.ok() || r.coreCount < 1)
-        return std::nullopt;
-    in.expect("coherence");
-    if (!(in.ok()))
-        return std::nullopt;
-    {
-        const auto v = in.vec(4);
-        if (!in.ok())
-            return std::nullopt;
-        r.coherence.snoops = v[0];
-        r.coherence.invalidations = v[1];
-        r.coherence.downgrades = v[2];
-        r.coherence.dirtyHandoffs = v[3];
-    }
-
-    r.core.cycles = in.scalar("core.cycles");
-    r.core.retired = in.scalar("core.retired");
-    r.core.dispatched = in.scalar("core.dispatched");
-    r.core.issuedOps = in.scalar("core.issuedOps");
-    r.core.branches = in.scalar("core.branches");
-    r.core.mispredicts = in.scalar("core.mispredicts");
-    r.core.squashes = in.scalar("core.squashes");
-    r.core.squashedInsts = in.scalar("core.squashedInsts");
-    r.core.loadsForwarded = in.scalar("core.loadsForwarded");
-    r.core.retireStallWbFull = in.scalar("core.retireStallWbFull");
-    r.core.dispatchStallRob = in.scalar("core.dispatchStallRob");
-    r.core.dispatchStallIq = in.scalar("core.dispatchStallIq");
-    r.core.dispatchStallLsq = in.scalar("core.dispatchStallLsq");
-    r.core.edkStallChecks = in.scalar("core.edkStallChecks");
-    r.core.edkExternalStalls = in.scalar("core.edkExternalStalls");
-    r.core.edkStuckDetected = in.scalar("core.edkStuckDetected");
-    r.core.edkFencesSynthesized =
-        in.scalar("core.edkFencesSynthesized");
-
-    const std::uint64_t hist_n = in.scalar("issueHist");
-    if (!in.ok() || hist_n != r.core.issueHist.size())
-        return std::nullopt;
-    std::vector<std::uint64_t> hist = in.vec(hist_n);
-    const std::uint64_t hist_sat = in.scalar("saturated");
-    if (!in.ok())
-        return std::nullopt;
-    r.core.issueHist.restore(std::move(hist), hist_sat);
-
-    in.expect("wb");
-    {
-        const auto v = in.vec(6);
-        if (!in.ok())
-            return std::nullopt;
-        r.wb.inserted = v[0];
-        r.wb.pushes = v[1];
-        r.wb.srcIdGated = v[2];
-        r.wb.lineGated = v[3];
-        r.wb.dmbGated = v[4];
-        r.wb.memRejected = v[5];
-    }
-
-    in.expect("nvm");
-    {
-        const auto v = in.vec(8);
-        if (!in.ok())
-            return std::nullopt;
-        r.nvm.reads = v[0];
-        r.nvm.bufferReadHits = v[1];
-        r.nvm.writesAccepted = v[2];
-        r.nvm.writesCoalesced = v[3];
-        r.nvm.mediaWrites = v[4];
-        r.nvm.cleansAccepted = v[5];
-        r.nvm.bufferFullRejects = v[6];
-        r.nvm.transientRejects = v[7];
-    }
-
-    in.expect("nvmOccupancy");
-    {
-        const auto geom = in.vec(3);
-        if (!in.ok() || geom[0] != r.nvmOccupancy.maxValue() ||
-            geom[1] != r.nvmOccupancy.bucketWidth() ||
-            geom[2] != r.nvmOccupancy.numBuckets())
-            return std::nullopt;
-        std::vector<std::uint64_t> counts = in.vec(geom[2]);
-        const std::uint64_t sum = in.scalar("sum");
-        if (!in.ok())
-            return std::nullopt;
-        r.nvmOccupancy.restore(std::move(counts), sum);
-    }
-
-    in.cacheStats("l1d", r.l1d);
-    in.cacheStats("l2", r.l2);
-    in.cacheStats("l3", r.l3);
-
-    in.expect("dram");
-    {
-        const auto v = in.vec(5);
-        if (!in.ok())
-            return std::nullopt;
-        r.dram.reads = v[0];
-        r.dram.writes = v[1];
-        r.dram.rowHits = v[2];
-        r.dram.rowMisses = v[3];
-        r.dram.rejects = v[4];
-    }
-    if (r.coreCount == 1) {
-        // Rebuild the per-core view from the aggregate sections so a
-        // restored RunResult is indistinguishable from a fresh one.
-        r.perCore = {CoreRunStats{0, r.core, r.wb, r.l1d}};
-    } else {
-        const std::uint64_t n = in.scalar("perCore");
-        if (!in.ok() ||
-            n != static_cast<std::uint64_t>(r.coreCount))
-            return std::nullopt;
-        r.perCore.resize(n);
-        for (CoreRunStats &pc : r.perCore) {
-            in.expect("pc");
-            const auto v = in.vec(18);
-            if (!in.ok())
-                return std::nullopt;
-            pc.core = static_cast<unsigned>(v[0]);
-            pc.stats.cycles = v[1];
-            pc.stats.retired = v[2];
-            pc.stats.dispatched = v[3];
-            pc.stats.issuedOps = v[4];
-            pc.stats.branches = v[5];
-            pc.stats.mispredicts = v[6];
-            pc.stats.squashes = v[7];
-            pc.stats.squashedInsts = v[8];
-            pc.stats.loadsForwarded = v[9];
-            pc.stats.retireStallWbFull = v[10];
-            pc.stats.dispatchStallRob = v[11];
-            pc.stats.dispatchStallIq = v[12];
-            pc.stats.dispatchStallLsq = v[13];
-            pc.stats.edkStallChecks = v[14];
-            pc.stats.edkExternalStalls = v[15];
-            pc.stats.edkStuckDetected = v[16];
-            pc.stats.edkFencesSynthesized = v[17];
-
-            const std::uint64_t hn = in.scalar("pcHist");
-            if (!in.ok() || hn != pc.stats.issueHist.size())
-                return std::nullopt;
-            std::vector<std::uint64_t> hist = in.vec(hn);
-            const std::uint64_t sat = in.scalar("saturated");
-            if (!in.ok())
-                return std::nullopt;
-            pc.stats.issueHist.restore(std::move(hist), sat);
-
-            in.expect("pcWb");
-            const auto w = in.vec(6);
-            if (!in.ok())
-                return std::nullopt;
-            pc.wb.inserted = w[0];
-            pc.wb.pushes = w[1];
-            pc.wb.srcIdGated = w[2];
-            pc.wb.lineGated = w[3];
-            pc.wb.dmbGated = w[4];
-            pc.wb.memRejected = w[5];
-
-            in.cacheStats("pcL1d", pc.l1d);
-        }
-    }
-
-    const std::uint64_t traffic_on = in.scalar("traffic");
-    if (!in.ok() || traffic_on > 1)
-        return std::nullopt;
-    r.traffic.enabled = traffic_on == 1;
-    if (r.traffic.enabled) {
-        in.latency("tOpen", r.traffic.open);
-        in.latency("tService", r.traffic.service);
-        in.latency("tOpenWarm", r.traffic.openWarmup);
-        in.latency("tOpenSteady", r.traffic.openSteady);
-        in.latency("tServiceWarm", r.traffic.serviceWarmup);
-        in.latency("tServiceSteady", r.traffic.serviceSteady);
-        const std::uint64_t wn = in.scalar("tWindows");
-        if (!in.ok() || wn > 64)
-            return std::nullopt;
-        r.traffic.windows.resize(wn);
-        for (traffic::WindowLatency &w : r.traffic.windows) {
-            in.expect("tw");
-            const auto v = in.vec(2);
-            if (!in.ok() || v[1] > 1)
-                return std::nullopt;
-            w.window = static_cast<unsigned>(v[0]);
-            w.warmup = v[1] == 1;
-            in.latency("twOpen", w.open);
-            in.latency("twService", w.service);
-        }
-        const std::uint64_t n = in.scalar("tStreams");
-        if (!in.ok())
-            return std::nullopt;
-        r.traffic.streams.resize(n);
-        for (traffic::StreamLatency &sl : r.traffic.streams) {
-            in.expect("ts");
-            const auto v = in.vec(5);
-            if (!in.ok())
-                return std::nullopt;
-            sl.stream = static_cast<unsigned>(v[0]);
-            sl.core = static_cast<unsigned>(v[1]);
-            sl.shed = v[2];
-            sl.retries = v[3];
-            sl.failures = v[4];
-            in.latency("tsOpen", sl.open);
-            in.latency("tsService", sl.service);
-        }
-        const std::uint64_t ov_on = in.scalar("tOverload");
-        if (!in.ok() || ov_on > 1)
-            return std::nullopt;
-        traffic::OverloadResult &ov = r.traffic.overload;
-        ov.enabled = ov_on == 1;
-        if (ov.enabled) {
-            in.expect("tOv");
-            const auto v = in.vec(19);
-            if (!in.ok())
-                return std::nullopt;
-            ov.effectiveDepth = v[0];
-            ov.offered = v[1];
-            ov.admitted = v[2];
-            ov.completed = v[3];
-            ov.goodput = v[4];
-            ov.timeouts = v[5];
-            ov.failures = v[6];
-            ov.steadyOffered = v[7];
-            ov.steadyGoodput = v[8];
-            ov.steadyHorizon = v[9];
-            ov.shedQueue = v[10];
-            ov.shedDeadline = v[11];
-            ov.shedToken = v[12];
-            ov.shedDegrade = v[13];
-            ov.retries = v[14];
-            ov.retryExhausted = v[15];
-            ov.degradeUp = v[16];
-            ov.degradeDown = v[17];
-            ov.maxDegradeLevel = static_cast<unsigned>(v[18]);
-            in.latency("tOvOpen", ov.open);
-            in.latency("tOvGoodput", ov.goodputOpen);
-        }
-    }
-    in.expect("end");
-    if (!in.ok())
-        return std::nullopt;
     return cell;
 }
 

@@ -10,9 +10,10 @@
  * or two benches racing) safe: the rename is atomic and both sides
  * would write identical bytes anyway.
  *
- * A snapshot that fails any validation -- wrong magic, truncated,
- * mismatched fingerprint or histogram shape -- is treated as a miss,
- * never an error.  Temp files stranded by a writer that died before
+ * A snapshot that fails any validation -- wrong magic or schema
+ * version, truncated, a mismatched label, fingerprint or histogram
+ * shape, a list count larger than the file can hold -- is treated as
+ * a miss, never an error.  Temp files stranded by a writer that died before
  * its rename are swept when the cache is opened.
  */
 

@@ -12,23 +12,11 @@
 #define EDE_EXP_SINK_HH
 
 #include <string>
-#include <string_view>
 
 #include "exp/result.hh"
 
 namespace ede {
 namespace exp {
-
-/**
- * @name JSON scalars, shared by every artifact writer.
- *
- * jsonEscape escapes quotes, backslashes and control characters;
- * jsonDouble prints a double with round-trip ("%.17g") precision.
- */
-/// @{
-std::string jsonEscape(std::string_view s);
-std::string jsonDouble(double v);
-/// @}
 
 /** Render @p results as the unified JSON document. */
 std::string resultsToJson(const std::string &benchName,

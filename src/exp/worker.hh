@@ -32,6 +32,8 @@
 #include <functional>
 #include <string>
 
+#include "common/fields.hh"
+
 namespace ede {
 namespace exp {
 
@@ -77,6 +79,17 @@ struct JobFailure
     /** One-line `outcome(signal/exit, attempts): message` summary. */
     std::string describe() const;
 };
+
+void
+visitFields(auto &v, FieldsOf<JobFailure> auto &f)
+{
+    v("outcome", f.outcome, jobOutcomeName);
+    v("signal", f.signal);
+    v("exit_code", f.exitCode);
+    v("attempts", f.attempts);
+    v("message", f.message);
+    v("stderr_tail", f.stderrTail);
+}
 
 /** Result of one isolated execution. */
 struct WorkerRun

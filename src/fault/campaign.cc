@@ -6,9 +6,8 @@
 
 #include "apps/harness.hh"
 #include "common/logging.hh"
-#include "exp/fingerprint.hh"
+#include "exp/fields.hh"
 #include "exp/scheduler.hh"
-#include "exp/sink.hh"
 #include "fault/crash_image.hh"
 #include "fault/model_check/checker.hh"
 #include "nvm/undo_log.hh"
@@ -218,7 +217,7 @@ classifyConfig(const CampaignOptions &options, Config cfg,
     return result;
 }
 
-constexpr const char *kConfigResultMagic = "ede-campaign-config-v1";
+constexpr const char *kConfigResultMagic = "ede-campaign-config";
 
 } // namespace
 
@@ -293,173 +292,25 @@ CampaignReport::describe() const
 std::string
 serializeConfigResult(const CampaignConfigResult &result)
 {
-    std::ostringstream os;
-    os << kConfigResultMagic << "\n";
-    os << "config " << configName(result.config) << "\n";
-    os << "cycles " << result.cycles << "\n";
-    os << "transientRejects " << result.transientRejects << "\n";
-    os << "tallies " << result.points << ' ' << result.recovered
-       << ' ' << result.tornDetected << ' ' << result.unrecoverable
-       << "\n";
-    os << "results " << result.results.size() << "\n";
-    for (const CrashPointResult &r : result.results) {
-        os << "p " << r.crashCycle << ' '
-           << static_cast<int>(r.outcome) << ' ' << r.entriesTorn
-           << ' ';
-        emitPlanWire(os, r.plan);
-        os << "\n";
-    }
-    os << "failures " << result.failures.size() << "\n";
-    for (const Reproducer &rep : result.failures) {
-        os << "f " << rep.seed << ' ' << configName(rep.config) << ' '
-           << rep.crashCycle << ' ';
-        emitPlanWire(os, rep.plan);
-        os << "\n";
-    }
-    return os.str();
+    return exp::toWire(kConfigResultMagic, result);
 }
 
 std::optional<CampaignConfigResult>
 deserializeConfigResult(const std::string &text)
 {
-    std::istringstream is(text);
-    std::string magic, key;
-    if (!(is >> magic) || magic != kConfigResultMagic)
-        return std::nullopt;
-
-    CampaignConfigResult result;
-    if (!(is >> key) || key != "config" ||
-        !readConfigWire(is, result.config)) {
-        return std::nullopt;
-    }
-
-    if (!(is >> key >> result.cycles) || key != "cycles")
-        return std::nullopt;
-    if (!(is >> key >> result.transientRejects) ||
-        key != "transientRejects") {
-        return std::nullopt;
-    }
-    if (!(is >> key >> result.points >> result.recovered >>
-          result.tornDetected >> result.unrecoverable) ||
-        key != "tallies") {
-        return std::nullopt;
-    }
-
-    std::size_t n = 0;
-    if (!(is >> key >> n) || key != "results")
-        return std::nullopt;
-    result.results.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        CrashPointResult r;
-        int outcome = 0;
-        if (!(is >> key >> r.crashCycle >> outcome >>
-              r.entriesTorn) ||
-            key != "p" || outcome < 0 ||
-            outcome > static_cast<int>(CrashOutcome::Unrecoverable) ||
-            !readPlanWire(is, r.plan)) {
-            return std::nullopt;
-        }
-        r.outcome = static_cast<CrashOutcome>(outcome);
-        result.results.push_back(r);
-    }
-
-    if (!(is >> key >> n) || key != "failures")
-        return std::nullopt;
-    result.failures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        Reproducer rep;
-        if (!(is >> key >> rep.seed) || key != "f" ||
-            !readConfigWire(is, rep.config) || !(is >> rep.crashCycle) ||
-            !readPlanWire(is, rep.plan)) {
-            return std::nullopt;
-        }
-        result.failures.push_back(std::move(rep));
-    }
-    return result;
+    return exp::fromWire<CampaignConfigResult>(text, kConfigResultMagic);
 }
 
 std::uint64_t
 campaignSweepId(const CampaignOptions &options)
 {
-    exp::FingerprintHasher h;
-    h.field("campaign.schema",
-            static_cast<std::uint64_t>(exp::kResultSchemaVersion));
-    h.field("campaign.app", appName(options.app));
-    h.field("campaign.seed", options.seed);
-    h.field("campaign.pointsPerConfig",
-            static_cast<std::uint64_t>(options.pointsPerConfig));
-    h.field("campaign.txns",
-            static_cast<std::uint64_t>(options.spec.txns));
-    h.field("campaign.opsPerTxn",
-            static_cast<std::uint64_t>(options.spec.opsPerTxn));
-    h.field("campaign.workloadSeed", options.spec.seed);
-    h.field("campaign.acceptFaultRate", options.acceptFaultRate);
-    h.field("campaign.configs",
-            static_cast<std::uint64_t>(options.configs.size()));
-    for (Config c : options.configs)
-        h.field("campaign.config", configName(c));
-    return h.value();
+    return exp::fingerprintOf("campaign", options);
 }
 
 std::string
 campaignToJson(const CampaignReport &report)
 {
-    const CampaignOptions &opt = report.options;
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"bench\": \"fault_campaign\",\n";
-    os << "  \"schema\": " << exp::kResultSchemaVersion << ",\n";
-    os << "  \"campaign\": {\"app\": \"" << appName(opt.app)
-       << "\", \"seed\": " << opt.seed << ", \"points_per_config\": "
-       << opt.pointsPerConfig << ", \"txns\": " << opt.spec.txns
-       << ", \"ops_per_txn\": " << opt.spec.opsPerTxn
-       << ", \"workload_seed\": " << opt.spec.seed
-       << ", \"accept_fault_rate\": "
-       << exp::jsonDouble(opt.acceptFaultRate) << "},\n";
-    os << "  \"configs\": [\n";
-    for (std::size_t i = 0; i < report.configs.size(); ++i) {
-        const CampaignConfigResult &c = report.configs[i];
-        os << "    {\n";
-        os << "      \"config\": \"" << configName(c.config)
-           << "\",\n";
-        os << "      \"cycles\": " << c.cycles << ",\n";
-        os << "      \"transient_rejects\": " << c.transientRejects
-           << ",\n";
-        os << "      \"points\": " << c.points << ",\n";
-        os << "      \"recovered\": " << c.recovered << ",\n";
-        os << "      \"torn_detected\": " << c.tornDetected << ",\n";
-        os << "      \"unrecoverable\": " << c.unrecoverable << ",\n";
-        os << "      \"crash_points\": [";
-        for (std::size_t j = 0; j < c.results.size(); ++j) {
-            const CrashPointResult &r = c.results[j];
-            os << (j ? ",\n        " : "\n        ");
-            os << "{\"cycle\": " << r.crashCycle << ", \"outcome\": \""
-               << crashOutcomeName(r.outcome) << "\", \"entries_torn\": "
-               << r.entriesTorn << ", \"plan\": ";
-            emitPlanJson(os, r.plan);
-            os << "}";
-        }
-        os << (c.results.empty() ? "],\n" : "\n      ],\n");
-        os << "      \"failures\": [";
-        for (std::size_t j = 0; j < c.failures.size(); ++j) {
-            const Reproducer &rep = c.failures[j];
-            os << (j ? ",\n        " : "\n        ");
-            os << "{\"seed\": " << rep.seed << ", \"config\": \""
-               << configName(rep.config) << "\", \"crash_cycle\": "
-               << rep.crashCycle << ", \"plan\": ";
-            emitPlanJson(os, rep.plan);
-            os << "}";
-        }
-        os << (c.failures.empty() ? "]\n" : "\n      ]\n");
-        os << "    }"
-           << (i + 1 < report.configs.size() ? ",\n" : "\n");
-    }
-    os << "  ],\n";
-    emitQuarantinedJson(os, report.quarantined);
-    os << "  \"safe_configs_clean\": "
-       << (report.safeConfigsClean() ? "true" : "false") << "\n";
-    os << "}\n";
-    return os.str();
+    return exp::jsonDocument("fault_campaign", report, /*blockDepth=*/2);
 }
 
 CampaignReport

@@ -61,6 +61,15 @@ struct Reproducer
     std::string describe() const;
 };
 
+void
+visitFields(auto &v, FieldsOf<Reproducer> auto &r)
+{
+    v("seed", r.seed);
+    v("config", r.config, configName);
+    v("crash_cycle", r.crashCycle);
+    v("plan", r.plan);
+}
+
 /** One classified crash point. */
 struct CrashPointResult
 {
@@ -69,6 +78,15 @@ struct CrashPointResult
     FaultPlan plan;
     std::uint64_t entriesTorn = 0;  ///< Discarded by recovery.
 };
+
+void
+visitFields(auto &v, FieldsOf<CrashPointResult> auto &r)
+{
+    v("cycle", r.crashCycle);
+    v("outcome", r.outcome, crashOutcomeName);
+    v("entries_torn", r.entriesTorn);
+    v("plan", r.plan);
+}
 
 /** Per-configuration tallies. */
 struct CampaignConfigResult
@@ -83,6 +101,20 @@ struct CampaignConfigResult
     std::vector<CrashPointResult> results;
     std::vector<Reproducer> failures;  ///< Safe-config only, shrunk.
 };
+
+void
+visitFields(auto &v, FieldsOf<CampaignConfigResult> auto &r)
+{
+    v("config", r.config, configName);
+    v("cycles", r.cycles);
+    v("transient_rejects", r.transientRejects);
+    v("points", r.points);
+    v("recovered", r.recovered);
+    v("torn_detected", r.tornDetected);
+    v("unrecoverable", r.unrecoverable);
+    v("crash_points", r.results);
+    v("failures", r.failures);
+}
 
 /** Campaign parameters; everything flows from one root seed. */
 struct CampaignOptions
@@ -132,6 +164,18 @@ struct CampaignOptions
     std::string chaosCrashConfig;
 };
 
+/** The campaign's identity: isolation and job count never change it. */
+void
+visitFields(auto &v, FieldsOf<CampaignOptions> auto &o)
+{
+    v("app", o.app, appName);
+    v("seed", o.seed);
+    v("points_per_config", o.pointsPerConfig);
+    v("spec", o.spec);
+    v("accept_fault_rate", o.acceptFaultRate);
+    v("configs", o.configs, configName);
+}
+
 /** The whole campaign's outcome. */
 struct CampaignReport
 {
@@ -148,6 +192,15 @@ struct CampaignReport
     /** Multi-line human-readable summary with reproducer tuples. */
     std::string describe() const;
 };
+
+void
+visitFields(auto &v, FieldsOf<CampaignReport> auto &r)
+{
+    v("campaign", r.options);
+    v("configs", r.configs);
+    v("quarantined", r.quarantined);
+    v.derived("safe_configs_clean", r.safeConfigsClean());
+}
 
 /** Run the campaign. */
 CampaignReport runCampaign(const CampaignOptions &options);

@@ -5,9 +5,8 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "exp/fingerprint.hh"
+#include "exp/fields.hh"
 #include "exp/scheduler.hh"
-#include "exp/sink.hh"
 #include "fault/conc_check.hh"
 #include "fault/crash_image.hh"
 #include "fault/fault_plan.hh"
@@ -249,20 +248,7 @@ classifyConcConfig(const ConcCampaignOptions &options, Config cfg,
 }
 
 constexpr const char *kConcCampaignResultMagic =
-    "ede-conc-campaign-v1";
-
-/** Invariant names never contain spaces; "-" encodes "none". */
-std::string
-invariantToken(const std::string &invariant)
-{
-    return invariant.empty() ? "-" : invariant;
-}
-
-std::string
-invariantFromToken(const std::string &token)
-{
-    return token == "-" ? "" : token;
-}
+    "ede-conc-campaign";
 
 } // namespace
 
@@ -333,195 +319,26 @@ ConcCampaignReport::describe() const
 std::string
 serializeConcCampaignResult(const ConcCampaignConfigResult &result)
 {
-    std::ostringstream os;
-    os << kConcCampaignResultMagic << "\n";
-    os << "config " << configName(result.config) << "\n";
-    os << "cycles " << result.cycles << "\n";
-    os << "transientRejects " << result.transientRejects << "\n";
-    os << "tallies " << result.points << ' ' << result.remotePoints
-       << ' ' << result.recovered << ' ' << result.unrecoverable
-       << "\n";
-    os << "results " << result.results.size() << "\n";
-    for (const ConcCrashPointResult &r : result.results) {
-        os << "p " << r.crashCycle << ' '
-           << static_cast<int>(r.outcome) << ' '
-           << (r.remoteOutstanding ? 1 : 0) << ' '
-           << invariantToken(r.invariant) << ' ';
-        emitPlanWire(os, r.plan);
-        os << "\n";
-    }
-    os << "failures " << result.failures.size() << "\n";
-    for (const ConcReproducer &rep : result.failures) {
-        os << "f " << rep.seed << ' ' << configName(rep.config) << ' '
-           << rep.crashCycle << ' ' << invariantToken(rep.invariant)
-           << ' ';
-        emitPlanWire(os, rep.plan);
-        os << "\n";
-    }
-    return os.str();
+    return exp::toWire(kConcCampaignResultMagic, result);
 }
 
 std::optional<ConcCampaignConfigResult>
 deserializeConcCampaignResult(const std::string &text)
 {
-    std::istringstream is(text);
-    std::string magic, key, token;
-    if (!(is >> magic) || magic != kConcCampaignResultMagic)
-        return std::nullopt;
-
-    ConcCampaignConfigResult result;
-    if (!(is >> key) || key != "config" ||
-        !readConfigWire(is, result.config)) {
-        return std::nullopt;
-    }
-
-    if (!(is >> key >> result.cycles) || key != "cycles")
-        return std::nullopt;
-    if (!(is >> key >> result.transientRejects) ||
-        key != "transientRejects") {
-        return std::nullopt;
-    }
-    if (!(is >> key >> result.points >> result.remotePoints >>
-          result.recovered >> result.unrecoverable) ||
-        key != "tallies") {
-        return std::nullopt;
-    }
-
-    std::size_t n = 0;
-    if (!(is >> key >> n) || key != "results")
-        return std::nullopt;
-    result.results.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ConcCrashPointResult r;
-        int outcome = 0, remote = 0;
-        if (!(is >> key >> r.crashCycle >> outcome >> remote >>
-              token) ||
-            key != "p" || outcome < 0 ||
-            outcome > static_cast<int>(CrashOutcome::Unrecoverable) ||
-            remote < 0 || remote > 1 || !readPlanWire(is, r.plan)) {
-            return std::nullopt;
-        }
-        r.outcome = static_cast<CrashOutcome>(outcome);
-        r.remoteOutstanding = remote == 1;
-        r.invariant = invariantFromToken(token);
-        result.results.push_back(std::move(r));
-    }
-
-    if (!(is >> key >> n) || key != "failures")
-        return std::nullopt;
-    result.failures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ConcReproducer rep;
-        if (!(is >> key >> rep.seed) || key != "f" ||
-            !readConfigWire(is, rep.config) ||
-            !(is >> rep.crashCycle >> token) ||
-            !readPlanWire(is, rep.plan)) {
-            return std::nullopt;
-        }
-        rep.invariant = invariantFromToken(token);
-        result.failures.push_back(std::move(rep));
-    }
-    return result;
+    return exp::fromWire<ConcCampaignConfigResult>(
+        text, kConcCampaignResultMagic);
 }
 
 std::uint64_t
 concCampaignSweepId(const ConcCampaignOptions &options)
 {
-    exp::FingerprintHasher h;
-    h.field("conccampaign.schema",
-            static_cast<std::uint64_t>(exp::kResultSchemaVersion));
-    h.field("conccampaign.app", concAppName(options.app));
-    h.field("conccampaign.seed", options.seed);
-    h.field("conccampaign.pointsPerConfig",
-            static_cast<std::uint64_t>(options.pointsPerConfig));
-    h.field("conccampaign.cores",
-            static_cast<std::uint64_t>(options.cores));
-    h.field("conccampaign.opsPerCore",
-            static_cast<std::uint64_t>(options.opsPerCore));
-    h.field("conccampaign.workloadSeed", options.workloadSeed);
-    h.field("conccampaign.mediaFactor",
-            static_cast<std::uint64_t>(options.mediaFactor));
-    h.field("conccampaign.acceptFaultRate", options.acceptFaultRate);
-    h.field("conccampaign.configs",
-            static_cast<std::uint64_t>(options.configs.size()));
-    for (Config c : options.configs)
-        h.field("conccampaign.config", configName(c));
-    return h.value();
+    return exp::fingerprintOf("conccampaign", options);
 }
 
 std::string
 concCampaignToJson(const ConcCampaignReport &report)
 {
-    const ConcCampaignOptions &opt = report.options;
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"bench\": \"conc_campaign\",\n";
-    os << "  \"schema\": " << exp::kResultSchemaVersion << ",\n";
-    os << "  \"conc_campaign\": {\"app\": \"" << concAppName(opt.app)
-       << "\", \"seed\": " << opt.seed << ", \"points_per_config\": "
-       << opt.pointsPerConfig << ", \"cores\": " << opt.cores
-       << ", \"ops_per_core\": " << opt.opsPerCore
-       << ", \"workload_seed\": " << opt.workloadSeed
-       << ", \"media_factor\": " << opt.mediaFactor
-       << ", \"accept_fault_rate\": "
-       << exp::jsonDouble(opt.acceptFaultRate) << "},\n";
-    os << "  \"configs\": [\n";
-    for (std::size_t i = 0; i < report.configs.size(); ++i) {
-        const ConcCampaignConfigResult &c = report.configs[i];
-        os << "    {\n";
-        os << "      \"config\": \"" << configName(c.config)
-           << "\",\n";
-        os << "      \"cycles\": " << c.cycles << ",\n";
-        os << "      \"transient_rejects\": " << c.transientRejects
-           << ",\n";
-        os << "      \"points\": " << c.points << ",\n";
-        os << "      \"remote_points\": " << c.remotePoints << ",\n";
-        os << "      \"recovered\": " << c.recovered << ",\n";
-        os << "      \"unrecoverable\": " << c.unrecoverable << ",\n";
-        os << "      \"crash_points\": [";
-        for (std::size_t j = 0; j < c.results.size(); ++j) {
-            const ConcCrashPointResult &r = c.results[j];
-            os << (j ? ",\n        " : "\n        ");
-            os << "{\"cycle\": " << r.crashCycle
-               << ", \"outcome\": \"" << crashOutcomeName(r.outcome)
-               << "\", \"remote_outstanding\": "
-               << (r.remoteOutstanding ? "true" : "false")
-               << ", \"invariant\": ";
-            if (r.invariant.empty())
-                os << "null";
-            else
-                os << '"' << exp::jsonEscape(r.invariant) << '"';
-            os << ", \"plan\": ";
-            emitPlanJson(os, r.plan);
-            os << "}";
-        }
-        os << (c.results.empty() ? "],\n" : "\n      ],\n");
-        os << "      \"failures\": [";
-        for (std::size_t j = 0; j < c.failures.size(); ++j) {
-            const ConcReproducer &rep = c.failures[j];
-            os << (j ? ",\n        " : "\n        ");
-            os << "{\"seed\": " << rep.seed << ", \"config\": \""
-               << configName(rep.config) << "\", \"crash_cycle\": "
-               << rep.crashCycle << ", \"invariant\": ";
-            if (rep.invariant.empty())
-                os << "null";
-            else
-                os << '"' << exp::jsonEscape(rep.invariant) << '"';
-            os << ", \"plan\": ";
-            emitPlanJson(os, rep.plan);
-            os << "}";
-        }
-        os << (c.failures.empty() ? "]\n" : "\n      ]\n");
-        os << "    }"
-           << (i + 1 < report.configs.size() ? ",\n" : "\n");
-    }
-    os << "  ],\n";
-    emitQuarantinedJson(os, report.quarantined);
-    os << "  \"safe_configs_clean\": "
-       << (report.safeConfigsClean() ? "true" : "false") << ",\n";
-    os << "  \"ok\": " << (report.ok() ? "true" : "false") << "\n";
-    os << "}\n";
-    return os.str();
+    return exp::jsonDocument("conc_campaign", report, /*blockDepth=*/2);
 }
 
 ConcCampaignReport

@@ -46,6 +46,16 @@ struct ConcCrashPointResult
     FaultPlan plan;
 };
 
+void
+visitFields(auto &v, FieldsOf<ConcCrashPointResult> auto &r)
+{
+    v("cycle", r.crashCycle);
+    v("outcome", r.outcome, crashOutcomeName);
+    v("remote_outstanding", r.remoteOutstanding);
+    v("invariant", nullUnless(r.invariant, !r.invariant.empty()));
+    v("plan", r.plan);
+}
+
 /** A failing multi-core crash point, replayable from scratch. */
 struct ConcReproducer
 {
@@ -58,6 +68,16 @@ struct ConcReproducer
     /** One-line human-readable rendering. */
     std::string describe() const;
 };
+
+void
+visitFields(auto &v, FieldsOf<ConcReproducer> auto &r)
+{
+    v("seed", r.seed);
+    v("config", r.config, configName);
+    v("crash_cycle", r.crashCycle);
+    v("invariant", nullUnless(r.invariant, !r.invariant.empty()));
+    v("plan", r.plan);
+}
 
 /** Tallies and failures for one configuration. */
 struct ConcCampaignConfigResult
@@ -72,6 +92,20 @@ struct ConcCampaignConfigResult
     std::vector<ConcCrashPointResult> results;
     std::vector<ConcReproducer> failures;  ///< Safe configs only.
 };
+
+void
+visitFields(auto &v, FieldsOf<ConcCampaignConfigResult> auto &r)
+{
+    v("config", r.config, configName);
+    v("cycles", r.cycles);
+    v("transient_rejects", r.transientRejects);
+    v("points", r.points);
+    v("remote_points", r.remotePoints);
+    v("recovered", r.recovered);
+    v("unrecoverable", r.unrecoverable);
+    v("crash_points", r.results);
+    v("failures", r.failures);
+}
 
 /** Multi-core campaign parameters. */
 struct ConcCampaignOptions
@@ -107,6 +141,21 @@ struct ConcCampaignOptions
     /// @}
 };
 
+/** The campaign's identity: isolation and job count never change it. */
+void
+visitFields(auto &v, FieldsOf<ConcCampaignOptions> auto &o)
+{
+    v("app", o.app, concAppName);
+    v("seed", o.seed);
+    v("points_per_config", o.pointsPerConfig);
+    v("cores", o.cores);
+    v("ops_per_core", o.opsPerCore);
+    v("workload_seed", o.workloadSeed);
+    v("media_factor", o.mediaFactor);
+    v("accept_fault_rate", o.acceptFaultRate);
+    v("configs", o.configs, configName);
+}
+
 /** The whole multi-core campaign's outcome. */
 struct ConcCampaignReport
 {
@@ -123,6 +172,16 @@ struct ConcCampaignReport
     /** Multi-line human-readable summary with failures. */
     std::string describe() const;
 };
+
+void
+visitFields(auto &v, FieldsOf<ConcCampaignReport> auto &r)
+{
+    v("conc_campaign", r.options);
+    v("configs", r.configs);
+    v("quarantined", r.quarantined);
+    v.derived("safe_configs_clean", r.safeConfigsClean());
+    v.derived("ok", r.ok());
+}
 
 /** Run the multi-core campaign across configurations. */
 ConcCampaignReport runConcCampaign(const ConcCampaignOptions &options);

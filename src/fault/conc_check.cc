@@ -4,9 +4,8 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "exp/fingerprint.hh"
+#include "exp/fields.hh"
 #include "exp/scheduler.hh"
-#include "exp/sink.hh"
 #include "fault/model_check/checker.hh"
 
 namespace ede {
@@ -128,7 +127,7 @@ checkConcConfig(const ConcCheckOptions &options, Config cfg,
     return result;
 }
 
-constexpr const char *kConcCheckResultMagic = "ede-concheck-config-v1";
+constexpr const char *kConcCheckResultMagic = "ede-concheck-config";
 
 } // namespace
 
@@ -204,201 +203,26 @@ ConcCheckReport::describe() const
 std::string
 serializeConcCheckResult(const ConcCheckConfigResult &result)
 {
-    std::ostringstream os;
-    os << kConcCheckResultMagic << "\n";
-    os << "config " << configName(result.config) << "\n";
-    os << "cycles " << result.cycles << "\n";
-    os << "events " << result.events << ' ' << result.freeEvents
-       << "\n";
-    const PersistOrderStats &s = result.orderStats;
-    os << "edges " << s.sameLine << ' ' << s.edk << ' ' << s.keyChain
-       << ' ' << s.fence << ' ' << s.lineGate << ' ' << s.nonmonotone
-       << ' ' << s.crossWait << ' ' << s.crossLine << "\n";
-    os << "tallies " << result.states << ' ' << result.rejectedBudget
-       << ' ' << result.tornVariants << ' ' << result.uniqueImages
-       << ' ' << result.recoveredClean << ' ' << result.violations
-       << ' ' << (result.truncated ? 1 : 0) << ' '
-       << result.seededBugOpIdx << ' ' << result.seededBugCore
-       << "\n";
-    os << "counterexamples " << result.counterexamples.size() << "\n";
-    for (const ConcCounterexample &cex : result.counterexamples) {
-        os << "c " << cex.invariant << ' ' << cex.tornIdx << ' '
-           << cex.tornMask << ' ' << cex.imageHash << ' '
-           << cex.durable.size();
-        for (std::size_t i : cex.durable)
-            os << ' ' << i;
-        os << "\n";
-    }
-    return os.str();
+    return exp::toWire(kConcCheckResultMagic, result);
 }
 
 std::optional<ConcCheckConfigResult>
 deserializeConcCheckResult(const std::string &text)
 {
-    std::istringstream is(text);
-    std::string magic, key;
-    if (!(is >> magic) || magic != kConcCheckResultMagic)
-        return std::nullopt;
-
-    ConcCheckConfigResult result;
-    if (!(is >> key) || key != "config" ||
-        !readConfigWire(is, result.config)) {
-        return std::nullopt;
-    }
-
-    if (!(is >> key >> result.cycles) || key != "cycles")
-        return std::nullopt;
-    if (!(is >> key >> result.events >> result.freeEvents) ||
-        key != "events") {
-        return std::nullopt;
-    }
-    PersistOrderStats &s = result.orderStats;
-    if (!(is >> key >> s.sameLine >> s.edk >> s.keyChain >> s.fence >>
-          s.lineGate >> s.nonmonotone >> s.crossWait >>
-          s.crossLine) ||
-        key != "edges") {
-        return std::nullopt;
-    }
-    int truncated = 0;
-    if (!(is >> key >> result.states >> result.rejectedBudget >>
-          result.tornVariants >> result.uniqueImages >>
-          result.recoveredClean >> result.violations >> truncated >>
-          result.seededBugOpIdx >> result.seededBugCore) ||
-        key != "tallies" || truncated < 0 || truncated > 1) {
-        return std::nullopt;
-    }
-    result.truncated = truncated == 1;
-
-    std::size_t n = 0;
-    if (!(is >> key >> n) || key != "counterexamples")
-        return std::nullopt;
-    result.counterexamples.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ConcCounterexample cex;
-        std::size_t durables = 0;
-        if (!(is >> key >> cex.invariant >> cex.tornIdx >>
-              cex.tornMask >> cex.imageHash >> durables) ||
-            key != "c") {
-            return std::nullopt;
-        }
-        cex.durable.resize(durables);
-        for (std::size_t j = 0; j < durables; ++j) {
-            if (!(is >> cex.durable[j]))
-                return std::nullopt;
-        }
-        result.counterexamples.push_back(std::move(cex));
-    }
-    return result;
+    return exp::fromWire<ConcCheckConfigResult>(text,
+                                                kConcCheckResultMagic);
 }
 
 std::uint64_t
 concCheckSweepId(const ConcCheckOptions &options)
 {
-    exp::FingerprintHasher h;
-    h.field("concheck.schema",
-            static_cast<std::uint64_t>(exp::kResultSchemaVersion));
-    h.field("concheck.app", concAppName(options.app));
-    h.field("concheck.seed", options.seed);
-    h.field("concheck.cores",
-            static_cast<std::uint64_t>(options.cores));
-    h.field("concheck.opsPerCore",
-            static_cast<std::uint64_t>(options.opsPerCore));
-    h.field("concheck.workloadSeed", options.workloadSeed);
-    h.field("concheck.mediaFactor",
-            static_cast<std::uint64_t>(options.mediaFactor));
-    h.field("concheck.drainLines",
-            static_cast<std::uint64_t>(options.drainLines));
-    h.field("concheck.maxStates", options.maxStates);
-    h.field("concheck.budgetMs", options.budgetMs);
-    h.field("concheck.torn", options.torn);
-    h.field("concheck.seedBug", options.seedBug);
-    h.field("concheck.maxCounterexamples",
-            static_cast<std::uint64_t>(options.maxCounterexamples));
-    h.field("concheck.configs",
-            static_cast<std::uint64_t>(options.configs.size()));
-    for (Config c : options.configs)
-        h.field("concheck.config", configName(c));
-    return h.value();
+    return exp::fingerprintOf("concheck", options);
 }
 
 std::string
 concCheckToJson(const ConcCheckReport &report)
 {
-    const ConcCheckOptions &opt = report.options;
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"bench\": \"conc_check\",\n";
-    os << "  \"schema\": " << exp::kResultSchemaVersion << ",\n";
-    os << "  \"conc_check\": {\"app\": \"" << concAppName(opt.app)
-       << "\", \"seed\": " << opt.seed << ", \"cores\": "
-       << opt.cores << ", \"ops_per_core\": " << opt.opsPerCore
-       << ", \"workload_seed\": " << opt.workloadSeed
-       << ", \"media_factor\": " << opt.mediaFactor
-       << ", \"drain_lines\": " << opt.drainLines
-       << ", \"max_states\": " << opt.maxStates
-       << ", \"budget_ms\": " << opt.budgetMs << ", \"torn\": "
-       << (opt.torn ? "true" : "false") << ", \"seed_bug\": "
-       << (opt.seedBug ? "true" : "false") << "},\n";
-    os << "  \"configs\": [\n";
-    for (std::size_t i = 0; i < report.configs.size(); ++i) {
-        const ConcCheckConfigResult &c = report.configs[i];
-        const PersistOrderStats &s = c.orderStats;
-        os << "    {\n";
-        os << "      \"config\": \"" << configName(c.config)
-           << "\",\n";
-        os << "      \"cycles\": " << c.cycles << ",\n";
-        os << "      \"events\": " << c.events << ",\n";
-        os << "      \"free_events\": " << c.freeEvents << ",\n";
-        os << "      \"edges\": {\"same_line\": " << s.sameLine
-           << ", \"edk\": " << s.edk << ", \"key_chain\": "
-           << s.keyChain << ", \"fence\": " << s.fence
-           << ", \"line_gate\": " << s.lineGate
-           << ", \"nonmonotone\": " << s.nonmonotone
-           << ", \"cross_wait\": " << s.crossWait
-           << ", \"cross_line\": " << s.crossLine << "},\n";
-        os << "      \"states\": " << c.states << ",\n";
-        os << "      \"rejected_budget\": " << c.rejectedBudget
-           << ",\n";
-        os << "      \"torn_variants\": " << c.tornVariants << ",\n";
-        os << "      \"unique_images\": " << c.uniqueImages << ",\n";
-        os << "      \"recovered_clean\": " << c.recoveredClean
-           << ",\n";
-        os << "      \"violations\": " << c.violations << ",\n";
-        os << "      \"truncated\": "
-           << (c.truncated ? "true" : "false") << ",\n";
-        os << "      \"coverage\": \""
-           << (c.truncated ? "truncated" : "exact") << "\",\n";
-        if (c.seededBugOpIdx != kNoEvent) {
-            os << "      \"seeded_bug_core\": " << c.seededBugCore
-               << ",\n";
-            os << "      \"seeded_bug_op_idx\": " << c.seededBugOpIdx
-               << ",\n";
-        }
-        os << "      \"counterexamples\": [";
-        for (std::size_t j = 0; j < c.counterexamples.size(); ++j) {
-            const ConcCounterexample &cex = c.counterexamples[j];
-            os << (j ? ",\n        " : "\n        ");
-            os << "{\"invariant\": \"" << exp::jsonEscape(cex.invariant)
-               << "\", \"durable\": [";
-            for (std::size_t k = 0; k < cex.durable.size(); ++k)
-                os << (k ? ", " : "") << cex.durable[k];
-            os << "], \"torn_idx\": ";
-            if (cex.tornIdx == kNoEvent)
-                os << "null";
-            else
-                os << cex.tornIdx;
-            os << ", \"torn_mask\": " << cex.tornMask
-               << ", \"image_hash\": " << cex.imageHash << "}";
-        }
-        os << (c.counterexamples.empty() ? "]\n" : "\n      ]\n");
-        os << "    }"
-           << (i + 1 < report.configs.size() ? ",\n" : "\n");
-    }
-    os << "  ],\n";
-    emitQuarantinedJson(os, report.quarantined);
-    os << "  \"ok\": " << (report.ok() ? "true" : "false") << "\n";
-    os << "}\n";
-    return os.str();
+    return exp::jsonDocument("conc_check", report, /*blockDepth=*/2);
 }
 
 ConcCheckReport

@@ -76,6 +76,16 @@ struct ConcCounterexample
     std::string describe() const;
 };
 
+void
+visitFields(auto &v, FieldsOf<ConcCounterexample> auto &c)
+{
+    v("invariant", c.invariant);
+    v("durable", c.durable);
+    v("torn_idx", nullUnless(c.tornIdx, c.tornIdx != kNoEvent));
+    v("torn_mask", c.tornMask);
+    v("image_hash", c.imageHash);
+}
+
 /** Verdict and tallies for one configuration. */
 struct ConcCheckConfigResult
 {
@@ -95,6 +105,29 @@ struct ConcCheckConfigResult
     unsigned seededBugCore = 0;
     std::vector<ConcCounterexample> counterexamples;
 };
+
+/** JSON names the seeded bug only where it was planted. */
+void
+visitFields(auto &v, FieldsOf<ConcCheckConfigResult> auto &r)
+{
+    const bool planted = r.seededBugOpIdx != kNoEvent;
+    v("config", r.config, configName);
+    v("cycles", r.cycles);
+    v("events", r.events);
+    v("free_events", r.freeEvents);
+    v("edges", r.orderStats);
+    v("states", r.states);
+    v("rejected_budget", r.rejectedBudget);
+    v("torn_variants", r.tornVariants);
+    v("unique_images", r.uniqueImages);
+    v("recovered_clean", r.recoveredClean);
+    v("violations", r.violations);
+    v("truncated", r.truncated);
+    v.derived("coverage", r.truncated ? "truncated" : "exact");
+    v("seeded_bug_core", omitUnless(r.seededBugCore, planted));
+    v("seeded_bug_op_idx", omitUnless(r.seededBugOpIdx, planted));
+    v("counterexamples", r.counterexamples);
+}
 
 /** Cross-core model-check parameters. */
 struct ConcCheckOptions
@@ -141,6 +174,25 @@ struct ConcCheckOptions
     /// @}
 };
 
+/** The check's identity: isolation and job count never change it. */
+void
+visitFields(auto &v, FieldsOf<ConcCheckOptions> auto &o)
+{
+    v("app", o.app, concAppName);
+    v("seed", o.seed);
+    v("cores", o.cores);
+    v("ops_per_core", o.opsPerCore);
+    v("workload_seed", o.workloadSeed);
+    v("media_factor", o.mediaFactor);
+    v("configs", o.configs, configName);
+    v("drain_lines", o.drainLines);
+    v("max_states", o.maxStates);
+    v("budget_ms", o.budgetMs);
+    v("torn", o.torn);
+    v("seed_bug", o.seedBug);
+    v("max_counterexamples", o.maxCounterexamples);
+}
+
 /** The whole cross-core model check's outcome. */
 struct ConcCheckReport
 {
@@ -159,6 +211,15 @@ struct ConcCheckReport
     /** Multi-line human-readable summary with counterexamples. */
     std::string describe() const;
 };
+
+void
+visitFields(auto &v, FieldsOf<ConcCheckReport> auto &r)
+{
+    v("conc_check", r.options);
+    v("configs", r.configs);
+    v("quarantined", r.quarantined);
+    v.derived("ok", r.ok());
+}
 
 /** Run the cross-core model check across configurations. */
 ConcCheckReport runConcCheck(const ConcCheckOptions &options);

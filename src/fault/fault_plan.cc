@@ -1,12 +1,10 @@
 #include "fault/fault_plan.hh"
 
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
 
 #include "common/logging.hh"
-#include "exp/sink.hh"
 
 namespace ede {
 
@@ -160,45 +158,6 @@ weakestFailingPlan(const FaultPlan &plan,
             return candidate;
     }
     return plan;  // Unreachable: the caller saw `plan` fail.
-}
-
-void
-emitPlanWire(std::ostream &os, const FaultPlan &plan)
-{
-    std::uint64_t rate_bits = 0;
-    std::memcpy(&rate_bits, &plan.acceptFaultRate, sizeof(rate_bits));
-    os << plan.seed << ' ' << plan.drainLines << ' '
-       << static_cast<unsigned>(plan.tear) << ' ' << rate_bits << ' '
-       << plan.maxConsecutiveRejects;
-}
-
-bool
-readPlanWire(std::istream &is, FaultPlan &plan)
-{
-    std::uint64_t seed = 0, rate_bits = 0;
-    std::uint32_t drain = 0, rejects = 0;
-    unsigned tear = 0;
-    if (!(is >> seed >> drain >> tear >> rate_bits >> rejects))
-        return false;
-    if (tear > static_cast<unsigned>(TearKind::Interleaved))
-        return false;
-    plan.seed = seed;
-    plan.drainLines = drain;
-    plan.tear = static_cast<TearKind>(tear);
-    std::memcpy(&plan.acceptFaultRate, &rate_bits, sizeof(double));
-    plan.maxConsecutiveRejects = rejects;
-    return true;
-}
-
-void
-emitPlanJson(std::ostream &os, const FaultPlan &plan)
-{
-    os << "{\"seed\": " << plan.seed << ", \"drain_lines\": "
-       << plan.drainLines << ", \"tear\": \"" << tearKindName(plan.tear)
-       << "\", \"accept_fault_rate\": "
-       << exp::jsonDouble(plan.acceptFaultRate)
-       << ", \"max_consecutive_rejects\": "
-       << plan.maxConsecutiveRejects << "}";
 }
 
 } // namespace ede

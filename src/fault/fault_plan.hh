@@ -33,10 +33,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <istream>
-#include <ostream>
 #include <string>
 
+#include "common/fields.hh"
 #include "common/random.hh"
 #include "mem/nvm.hh"
 
@@ -85,6 +84,16 @@ struct FaultPlan
     std::string describe() const;
 };
 
+void
+visitFields(auto &v, FieldsOf<FaultPlan> auto &p)
+{
+    v("seed", p.seed);
+    v("drain_lines", p.drainLines);
+    v("tear", p.tear, tearKindName);
+    v("accept_fault_rate", p.acceptFaultRate);
+    v("max_consecutive_rejects", p.maxConsecutiveRejects);
+}
+
 /**
  * Derive a crash-point fault plan from @p seed: a drain budget in
  * [0, wpqSlots] and a tear kind, both uniform.  Accept-fault injection
@@ -117,19 +126,6 @@ AcceptFaultHook makeAcceptFaultInjector(const FaultPlan &plan);
 FaultPlan weakestFailingPlan(
     const FaultPlan &plan,
     const std::function<bool(const FaultPlan &)> &fails);
-
-/** @name FaultPlan codecs shared by the campaigns' wire and JSON. */
-/// @{
-
-/** Whitespace-separated tokens; the rate travels by bit pattern. */
-void emitPlanWire(std::ostream &os, const FaultPlan &plan);
-
-/** Inverse of emitPlanWire; false on a missing or malformed token. */
-bool readPlanWire(std::istream &is, FaultPlan &plan);
-
-/** One inline JSON object. */
-void emitPlanJson(std::ostream &os, const FaultPlan &plan);
-/// @}
 
 } // namespace ede
 

@@ -7,9 +7,8 @@
 
 #include "audit/auditor.hh"
 #include "common/logging.hh"
-#include "exp/fingerprint.hh"
+#include "exp/fields.hh"
 #include "exp/scheduler.hh"
-#include "exp/sink.hh"
 #include "nvm/undo_log.hh"
 
 namespace ede {
@@ -297,7 +296,7 @@ checkConfig(const ModelCheckOptions &options, Config cfg,
 }
 
 constexpr const char *kModelCheckResultMagic =
-    "ede-modelcheck-config-v1";
+    "ede-modelcheck-config";
 
 } // namespace
 
@@ -365,219 +364,26 @@ ModelCheckReport::describe() const
 std::string
 serializeModelCheckResult(const ModelCheckConfigResult &result)
 {
-    std::ostringstream os;
-    os << kModelCheckResultMagic << "\n";
-    os << "config " << configName(result.config) << "\n";
-    os << "cycles " << result.cycles << "\n";
-    os << "events " << result.events << ' ' << result.freeEvents
-       << "\n";
-    const PersistOrderStats &s = result.orderStats;
-    os << "edges " << s.sameLine << ' ' << s.edk << ' ' << s.keyChain
-       << ' ' << s.fence << ' ' << s.lineGate << ' ' << s.nonmonotone
-       << "\n";
-    os << "tallies " << result.states << ' ' << result.rejectedBudget
-       << ' ' << result.tornVariants << ' ' << result.uniqueImages
-       << ' ' << result.recoveredClean << ' '
-       << result.tornLogDetected << ' ' << result.violations << ' '
-       << (result.truncated ? 1 : 0) << ' '
-       << result.seededBugTraceIdx << "\n";
-    os << "counterexamples " << result.counterexamples.size() << "\n";
-    for (const ModelCheckCounterexample &cex :
-         result.counterexamples) {
-        os << "c " << cex.invariant << ' ' << cex.tornIdx << ' '
-           << cex.tornMask << ' ' << cex.imageHash << ' '
-           << cex.durable.size();
-        for (std::size_t i : cex.durable)
-            os << ' ' << i;
-        os << ' ' << cex.rollbackTargets.size();
-        for (Addr a : cex.rollbackTargets)
-            os << ' ' << a;
-        os << "\n";
-    }
-    return os.str();
+    return exp::toWire(kModelCheckResultMagic, result);
 }
 
 std::optional<ModelCheckConfigResult>
 deserializeModelCheckResult(const std::string &text)
 {
-    std::istringstream is(text);
-    std::string magic, key;
-    if (!(is >> magic) || magic != kModelCheckResultMagic)
-        return std::nullopt;
-
-    ModelCheckConfigResult result;
-    if (!(is >> key) || key != "config" ||
-        !readConfigWire(is, result.config)) {
-        return std::nullopt;
-    }
-
-    if (!(is >> key >> result.cycles) || key != "cycles")
-        return std::nullopt;
-    if (!(is >> key >> result.events >> result.freeEvents) ||
-        key != "events") {
-        return std::nullopt;
-    }
-    PersistOrderStats &s = result.orderStats;
-    if (!(is >> key >> s.sameLine >> s.edk >> s.keyChain >> s.fence >>
-          s.lineGate >> s.nonmonotone) ||
-        key != "edges") {
-        return std::nullopt;
-    }
-    int truncated = 0;
-    if (!(is >> key >> result.states >> result.rejectedBudget >>
-          result.tornVariants >> result.uniqueImages >>
-          result.recoveredClean >> result.tornLogDetected >>
-          result.violations >> truncated >>
-          result.seededBugTraceIdx) ||
-        key != "tallies" || truncated < 0 || truncated > 1) {
-        return std::nullopt;
-    }
-    result.truncated = truncated == 1;
-
-    std::size_t n = 0;
-    if (!(is >> key >> n) || key != "counterexamples")
-        return std::nullopt;
-    result.counterexamples.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ModelCheckCounterexample cex;
-        std::size_t durables = 0;
-        if (!(is >> key >> cex.invariant >> cex.tornIdx >>
-              cex.tornMask >> cex.imageHash >> durables) ||
-            key != "c") {
-            return std::nullopt;
-        }
-        cex.durable.resize(durables);
-        for (std::size_t j = 0; j < durables; ++j) {
-            if (!(is >> cex.durable[j]))
-                return std::nullopt;
-        }
-        std::size_t targets = 0;
-        if (!(is >> targets))
-            return std::nullopt;
-        cex.rollbackTargets.resize(targets);
-        for (std::size_t j = 0; j < targets; ++j) {
-            if (!(is >> cex.rollbackTargets[j]))
-                return std::nullopt;
-        }
-        result.counterexamples.push_back(std::move(cex));
-    }
-    return result;
+    return exp::fromWire<ModelCheckConfigResult>(text,
+                                                 kModelCheckResultMagic);
 }
 
 std::uint64_t
 modelCheckSweepId(const ModelCheckOptions &options)
 {
-    exp::FingerprintHasher h;
-    h.field("modelcheck.schema",
-            static_cast<std::uint64_t>(exp::kResultSchemaVersion));
-    h.field("modelcheck.app", appName(options.app));
-    h.field("modelcheck.seed", options.seed);
-    h.field("modelcheck.txns",
-            static_cast<std::uint64_t>(options.spec.txns));
-    h.field("modelcheck.opsPerTxn",
-            static_cast<std::uint64_t>(options.spec.opsPerTxn));
-    h.field("modelcheck.workloadSeed", options.spec.seed);
-    h.field("modelcheck.appSeed", options.appParams.seed);
-    h.field("modelcheck.arrayLen",
-            static_cast<std::uint64_t>(options.appParams.arrayLen));
-    h.field("modelcheck.drainLines",
-            static_cast<std::uint64_t>(options.drainLines));
-    h.field("modelcheck.maxStates", options.maxStates);
-    h.field("modelcheck.budgetMs", options.budgetMs);
-    h.field("modelcheck.torn", options.torn);
-    h.field("modelcheck.seedBug", options.seedBug);
-    h.field("modelcheck.maxCounterexamples",
-            static_cast<std::uint64_t>(options.maxCounterexamples));
-    h.field("modelcheck.configs",
-            static_cast<std::uint64_t>(options.configs.size()));
-    for (Config c : options.configs)
-        h.field("modelcheck.config", configName(c));
-    return h.value();
+    return exp::fingerprintOf("modelcheck", options);
 }
 
 std::string
 modelCheckToJson(const ModelCheckReport &report)
 {
-    const ModelCheckOptions &opt = report.options;
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"bench\": \"model_check\",\n";
-    os << "  \"schema\": " << exp::kResultSchemaVersion << ",\n";
-    os << "  \"model_check\": {\"app\": \"" << appName(opt.app)
-       << "\", \"seed\": " << opt.seed << ", \"txns\": "
-       << opt.spec.txns << ", \"ops_per_txn\": " << opt.spec.opsPerTxn
-       << ", \"workload_seed\": " << opt.spec.seed
-       << ", \"array_len\": " << opt.appParams.arrayLen
-       << ", \"drain_lines\": " << opt.drainLines
-       << ", \"max_states\": " << opt.maxStates
-       << ", \"budget_ms\": " << opt.budgetMs << ", \"torn\": "
-       << (opt.torn ? "true" : "false") << ", \"seed_bug\": "
-       << (opt.seedBug ? "true" : "false") << "},\n";
-    os << "  \"configs\": [\n";
-    for (std::size_t i = 0; i < report.configs.size(); ++i) {
-        const ModelCheckConfigResult &c = report.configs[i];
-        const PersistOrderStats &s = c.orderStats;
-        os << "    {\n";
-        os << "      \"config\": \"" << configName(c.config)
-           << "\",\n";
-        os << "      \"cycles\": " << c.cycles << ",\n";
-        os << "      \"events\": " << c.events << ",\n";
-        os << "      \"free_events\": " << c.freeEvents << ",\n";
-        os << "      \"edges\": {\"same_line\": " << s.sameLine
-           << ", \"edk\": " << s.edk << ", \"key_chain\": "
-           << s.keyChain << ", \"fence\": " << s.fence
-           << ", \"line_gate\": " << s.lineGate
-           << ", \"nonmonotone\": " << s.nonmonotone << "},\n";
-        os << "      \"states\": " << c.states << ",\n";
-        os << "      \"rejected_budget\": " << c.rejectedBudget
-           << ",\n";
-        os << "      \"torn_variants\": " << c.tornVariants << ",\n";
-        os << "      \"unique_images\": " << c.uniqueImages << ",\n";
-        os << "      \"recovered_clean\": " << c.recoveredClean
-           << ",\n";
-        os << "      \"torn_log_detected\": " << c.tornLogDetected
-           << ",\n";
-        os << "      \"violations\": " << c.violations << ",\n";
-        os << "      \"truncated\": "
-           << (c.truncated ? "true" : "false") << ",\n";
-        os << "      \"coverage\": \""
-           << (c.truncated ? "truncated" : "exact") << "\",\n";
-        if (c.seededBugTraceIdx != kNoEvent) {
-            os << "      \"seeded_bug_trace_idx\": "
-               << c.seededBugTraceIdx << ",\n";
-        }
-        os << "      \"counterexamples\": [";
-        for (std::size_t j = 0; j < c.counterexamples.size(); ++j) {
-            const ModelCheckCounterexample &cex =
-                c.counterexamples[j];
-            os << (j ? ",\n        " : "\n        ");
-            os << "{\"invariant\": \"" << exp::jsonEscape(cex.invariant)
-               << "\", \"durable\": [";
-            for (std::size_t k = 0; k < cex.durable.size(); ++k)
-                os << (k ? ", " : "") << cex.durable[k];
-            os << "], \"torn_idx\": ";
-            if (cex.tornIdx == kNoEvent)
-                os << "null";
-            else
-                os << cex.tornIdx;
-            os << ", \"torn_mask\": " << cex.tornMask
-               << ", \"image_hash\": " << cex.imageHash
-               << ", \"rollback_targets\": [";
-            for (std::size_t k = 0; k < cex.rollbackTargets.size();
-                 ++k) {
-                os << (k ? ", " : "") << cex.rollbackTargets[k];
-            }
-            os << "]}";
-        }
-        os << (c.counterexamples.empty() ? "]\n" : "\n      ]\n");
-        os << "    }"
-           << (i + 1 < report.configs.size() ? ",\n" : "\n");
-    }
-    os << "  ],\n";
-    emitQuarantinedJson(os, report.quarantined);
-    os << "  \"ok\": " << (report.ok() ? "true" : "false") << "\n";
-    os << "}\n";
-    return os.str();
+    return exp::jsonDocument("model_check", report, /*blockDepth=*/2);
 }
 
 ModelCheckReport

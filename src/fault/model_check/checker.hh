@@ -67,6 +67,17 @@ struct ModelCheckCounterexample
     std::string describe() const;
 };
 
+void
+visitFields(auto &v, FieldsOf<ModelCheckCounterexample> auto &c)
+{
+    v("invariant", c.invariant);
+    v("durable", c.durable);
+    v("torn_idx", nullUnless(c.tornIdx, c.tornIdx != kNoEvent));
+    v("torn_mask", c.tornMask);
+    v("image_hash", c.imageHash);
+    v("rollback_targets", c.rollbackTargets);
+}
+
 /**
  * Verdict and tallies for one configuration.  `states` counts
  * enumerated durable sets, `tornVariants` the extra torn states;
@@ -92,6 +103,28 @@ struct ModelCheckConfigResult
         kNoEvent;                     ///< Mutated op (seed-bug runs).
     std::vector<ModelCheckCounterexample> counterexamples;
 };
+
+void
+visitFields(auto &v, FieldsOf<ModelCheckConfigResult> auto &r)
+{
+    v("config", r.config, configName);
+    v("cycles", r.cycles);
+    v("events", r.events);
+    v("free_events", r.freeEvents);
+    v("edges", r.orderStats);
+    v("states", r.states);
+    v("rejected_budget", r.rejectedBudget);
+    v("torn_variants", r.tornVariants);
+    v("unique_images", r.uniqueImages);
+    v("recovered_clean", r.recoveredClean);
+    v("torn_log_detected", r.tornLogDetected);
+    v("violations", r.violations);
+    v("truncated", r.truncated);
+    v.derived("coverage", r.truncated ? "truncated" : "exact");
+    v("seeded_bug_trace_idx",
+      omitUnless(r.seededBugTraceIdx, r.seededBugTraceIdx != kNoEvent));
+    v("counterexamples", r.counterexamples);
+}
 
 /** Model-check parameters; everything derives from one root seed. */
 struct ModelCheckOptions
@@ -139,6 +172,23 @@ struct ModelCheckOptions
     /// @}
 };
 
+/** The check's identity: isolation and job count never change it. */
+void
+visitFields(auto &v, FieldsOf<ModelCheckOptions> auto &o)
+{
+    v("app", o.app, appName);
+    v("seed", o.seed);
+    v("spec", o.spec);
+    v("app_params", o.appParams);
+    v("configs", o.configs, configName);
+    v("drain_lines", o.drainLines);
+    v("max_states", o.maxStates);
+    v("budget_ms", o.budgetMs);
+    v("torn", o.torn);
+    v("seed_bug", o.seedBug);
+    v("max_counterexamples", o.maxCounterexamples);
+}
+
 /** The whole model check's outcome. */
 struct ModelCheckReport
 {
@@ -156,6 +206,15 @@ struct ModelCheckReport
     /** Multi-line human-readable summary with counterexamples. */
     std::string describe() const;
 };
+
+void
+visitFields(auto &v, FieldsOf<ModelCheckReport> auto &r)
+{
+    v("model_check", r.options);
+    v("configs", r.configs);
+    v("quarantined", r.quarantined);
+    v.derived("ok", r.ok());
+}
 
 /** Run the model check across configurations. */
 ModelCheckReport runModelCheck(const ModelCheckOptions &options);

@@ -155,6 +155,19 @@ struct PersistOrderStats
     }
 };
 
+void
+visitFields(auto &v, FieldsOf<PersistOrderStats> auto &s)
+{
+    v("same_line", s.sameLine);
+    v("edk", s.edk);
+    v("key_chain", s.keyChain);
+    v("fence", s.fence);
+    v("line_gate", s.lineGate);
+    v("nonmonotone", s.nonmonotone);
+    v("cross_wait", s.crossWait);
+    v("cross_line", s.crossLine);
+}
+
 /** The assembled partial order over one run's persist events. */
 struct PersistOrderGraph
 {

@@ -6,7 +6,6 @@
 #include "exp/fingerprint.hh"
 #include "exp/journal.hh"
 #include "exp/scheduler.hh"
-#include "exp/sink.hh"
 
 namespace ede {
 
@@ -20,18 +19,6 @@ configFromName(const std::string &name)
     return std::nullopt;
 }
 
-bool
-readConfigWire(std::istream &is, Config &cfg)
-{
-    std::string name;
-    if (!(is >> name))
-        return false;
-    const std::optional<Config> found = configFromName(name);
-    if (found)
-        cfg = *found;
-    return found.has_value();
-}
-
 std::uint64_t
 mixSeed(std::uint64_t seed, std::uint64_t salt)
 {
@@ -43,25 +30,6 @@ std::uint64_t
 configSalt(Config cfg)
 {
     return static_cast<std::uint64_t>(cfg) + 1;
-}
-
-void
-emitQuarantinedJson(std::ostream &os,
-                    const std::vector<QuarantinedConfig> &quarantined)
-{
-    os << "  \"quarantined\": [\n";
-    for (std::size_t i = 0; i < quarantined.size(); ++i) {
-        const QuarantinedConfig &q = quarantined[i];
-        const exp::JobFailure &f = q.failure;
-        os << "    {\"config\": \"" << configName(q.config)
-           << "\", \"outcome\": \"" << exp::jobOutcomeName(f.outcome)
-           << "\", \"signal\": " << f.signal << ", \"exit_code\": "
-           << f.exitCode << ", \"attempts\": " << f.attempts
-           << ", \"message\": \"" << exp::jsonEscape(f.message)
-           << "\", \"stderr_tail\": \"" << exp::jsonEscape(f.stderrTail)
-           << "\"}" << (i + 1 < quarantined.size() ? ",\n" : "\n");
-    }
-    os << "  ],\n";
 }
 
 std::vector<std::optional<QuarantinedConfig>>

@@ -13,8 +13,7 @@
  * a driver supplies its name, payload decoder, worker job and
  * in-process path.
  *
- * The helpers the drivers' wire and JSON encoders share live here
- * too.
+ * The helpers the drivers share live here too.
  */
 
 #ifndef EDE_FAULT_SWEEP_HH
@@ -22,9 +21,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <istream>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -41,21 +38,21 @@ struct QuarantinedConfig
     exp::JobFailure failure;
 };
 
+void
+visitFields(auto &v, FieldsOf<QuarantinedConfig> auto &q)
+{
+    v("config", q.config, configName);
+    visitFields(v, q.failure);
+}
+
 /** Reverse of configName; nullopt for an unknown name. */
 std::optional<Config> configFromName(const std::string &name);
-
-/** Read one configName token; false when missing or unknown. */
-bool readConfigWire(std::istream &is, Config &cfg);
 
 /** Decorrelated 64-bit stream: one value per (seed, salt) pair. */
 std::uint64_t mixSeed(std::uint64_t seed, std::uint64_t salt);
 
 /** The per-configuration salt of every mixSeed stream. */
 std::uint64_t configSalt(Config cfg);
-
-/** The `"quarantined"` array of a driver's JSON artifact. */
-void emitQuarantinedJson(std::ostream &os,
-                         const std::vector<QuarantinedConfig> &quarantined);
 
 /** How one driver names itself inside the shared sweep. */
 struct SweepKind

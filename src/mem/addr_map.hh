@@ -11,6 +11,7 @@
 #ifndef EDE_MEM_ADDR_MAP_HH
 #define EDE_MEM_ADDR_MAP_HH
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace ede {
@@ -37,6 +38,13 @@ struct AddrMap
     /** True when @p addr targets the DRAM region. */
     bool isDram(Addr addr) const { return addr < dramBytes; }
 };
+
+void
+visitFields(auto &v, FieldsOf<AddrMap> auto &m)
+{
+    v("dram_bytes", m.dramBytes);
+    v("nvm_bytes", m.nvmBytes);
+}
 
 } // namespace ede
 

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "mem/req.hh"
 
@@ -57,6 +58,19 @@ struct CacheParams
     std::uint32_t inputQueue = 16;
 };
 
+/** The name is a label, not an input: it is not a field. */
+void
+visitFields(auto &v, FieldsOf<CacheParams> auto &p)
+{
+    v("size_bytes", p.sizeBytes);
+    v("assoc", p.assoc);
+    v("line_bytes", p.lineBytes);
+    v("latency", p.latency);
+    v("ports", p.ports);
+    v("mshrs", p.mshrs);
+    v("input_queue", p.inputQueue);
+}
+
 /** Occupancy and outcome counters for one cache. */
 struct CacheStats
 {
@@ -70,6 +84,20 @@ struct CacheStats
     std::uint64_t snoopInvalidations = 0;  ///< Lines killed by peers.
     std::uint64_t snoopDowngrades = 0;     ///< Dirty lines cleaned by peers.
 };
+
+void
+visitFields(auto &v, FieldsOf<CacheStats> auto &s)
+{
+    v("hits", s.hits);
+    v("misses", s.misses);
+    v("mshr_merges", s.mshrMerges);
+    v("evictions", s.evictions);
+    v("writebacks", s.writebacks);
+    v("cleans_forwarded", s.cleansForwarded);
+    v("rejects", s.rejects);
+    v("snoop_invalidations", s.snoopInvalidations);
+    v("snoop_downgrades", s.snoopDowngrades);
+}
 
 /** What a coherence snoop found in a peer cache. */
 enum class SnoopResult

@@ -17,6 +17,7 @@
 #include <queue>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "mem/req.hh"
 
@@ -33,6 +34,17 @@ struct DramParams
     std::uint32_t queueDepth = 32;
 };
 
+void
+visitFields(auto &v, FieldsOf<DramParams> auto &p)
+{
+    v("banks", p.banks);
+    v("row_bytes", p.rowBytes);
+    v("row_hit", p.rowHit);
+    v("row_miss", p.rowMiss);
+    v("bus_burst", p.busBurst);
+    v("queue_depth", p.queueDepth);
+}
+
 /** DRAM counters. */
 struct DramStats
 {
@@ -42,6 +54,16 @@ struct DramStats
     std::uint64_t rowMisses = 0;
     std::uint64_t rejects = 0;
 };
+
+void
+visitFields(auto &v, FieldsOf<DramStats> auto &s)
+{
+    v("reads", s.reads);
+    v("writes", s.writes);
+    v("row_hits", s.rowHits);
+    v("row_misses", s.rowMisses);
+    v("rejects", s.rejects);
+}
 
 /** One DRAM channel with banked row buffers. */
 class DramDevice

@@ -45,6 +45,17 @@ struct MemSystemParams
     AddrMap map{};
 };
 
+void
+visitFields(auto &v, FieldsOf<MemSystemParams> auto &p)
+{
+    v("l1d", p.l1d);
+    v("l2", p.l2);
+    v("l3", p.l3);
+    v("dram", p.dram);
+    v("nvm", p.nvm);
+    v("map", p.map);
+}
+
 /** Coherence-point counters (all zero on a single-core hierarchy). */
 struct CoherenceStats
 {
@@ -53,6 +64,15 @@ struct CoherenceStats
     std::uint64_t downgrades = 0;         ///< Peer dirty bits cleared.
     std::uint64_t dirtyHandoffs = 0;      ///< Dirty copies absorbed by L2.
 };
+
+void
+visitFields(auto &v, FieldsOf<CoherenceStats> auto &s)
+{
+    v("snoops", s.snoops);
+    v("invalidations", s.invalidations);
+    v("downgrades", s.downgrades);
+    v("dirty_handoffs", s.dirtyHandoffs);
+}
 
 /** The assembled hierarchy. */
 class MemSystem

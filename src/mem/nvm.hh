@@ -25,6 +25,7 @@
 #include <queue>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/req.hh"
@@ -53,6 +54,20 @@ struct NvmParams
     std::uint32_t readQueueDepth = 16;
 };
 
+void
+visitFields(auto &v, FieldsOf<NvmParams> auto &p)
+{
+    v("read_latency", p.readLatency);
+    v("write_latency", p.writeLatency);
+    v("buffer_accept", p.bufferAccept);
+    v("buffer_read_hit", p.bufferReadHit);
+    v("line_bytes", p.lineBytes);
+    v("buffer_slots", p.bufferSlots);
+    v("media_writers", p.mediaWriters);
+    v("media_readers", p.mediaReaders);
+    v("read_queue_depth", p.readQueueDepth);
+}
+
 /** NVM counters. */
 struct NvmStats
 {
@@ -65,6 +80,19 @@ struct NvmStats
     std::uint64_t bufferFullRejects = 0;
     std::uint64_t transientRejects = 0; ///< Fault-injected accept fails.
 };
+
+void
+visitFields(auto &v, FieldsOf<NvmStats> auto &s)
+{
+    v("reads", s.reads);
+    v("buffer_read_hits", s.bufferReadHits);
+    v("writes_accepted", s.writesAccepted);
+    v("writes_coalesced", s.writesCoalesced);
+    v("media_writes", s.mediaWrites);
+    v("cleans_accepted", s.cleansAccepted);
+    v("buffer_full_rejects", s.bufferFullRejects);
+    v("transient_rejects", s.transientRejects);
+}
 
 /**
  * Hook invoked when a write/clean enters the persistence domain

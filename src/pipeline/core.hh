@@ -44,6 +44,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "core/cross_core.hh"
@@ -94,6 +95,30 @@ struct CoreStats
         return cycles ? static_cast<double>(retired) / cycles : 0.0;
     }
 };
+
+void
+visitFields(auto &v, FieldsOf<CoreStats> auto &s)
+{
+    v("cycles", s.cycles);
+    v("retired", s.retired);
+    v("dispatched", s.dispatched);
+    v("issued_ops", s.issuedOps);
+    v("issue_hist", s.issueHist);
+    v("branches", s.branches);
+    v("mispredicts", s.mispredicts);
+    v("squashes", s.squashes);
+    v("squashed_insts", s.squashedInsts);
+    v("loads_forwarded", s.loadsForwarded);
+    v("retire_stall_wb_full", s.retireStallWbFull);
+    v("dispatch_stall_rob", s.dispatchStallRob);
+    v("dispatch_stall_iq", s.dispatchStallIq);
+    v("dispatch_stall_lsq", s.dispatchStallLsq);
+    v("edk_stall_checks", s.edkStallChecks);
+    v("edk_external_stalls", s.edkExternalStalls);
+    v("edk_stuck_detected", s.edkStuckDetected);
+    v("edk_fences_synthesized", s.edkFencesSynthesized);
+    v.derived("ipc", s.ipc());
+}
 
 /** The out-of-order core. */
 class OoOCore

@@ -7,7 +7,9 @@
 #define EDE_PIPELINE_PARAMS_HH
 
 #include <cstdint>
+#include <string_view>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "core/enforcement.hh"
 
@@ -59,6 +61,17 @@ enum class EdkRecoveryMode
      */
     Degrade,
 };
+
+/** Printable name ("report" / "degrade"). */
+constexpr std::string_view
+edkRecoveryModeName(EdkRecoveryMode mode)
+{
+    switch (mode) {
+      case EdkRecoveryMode::Report: return "report";
+      case EdkRecoveryMode::Degrade: return "degrade";
+    }
+    return "<bad-edk-recovery-mode>";
+}
 
 /** Static core configuration. */
 struct CoreParams
@@ -144,6 +157,39 @@ struct CoreParams
      */
     TickingMode ticking = TickingMode::Auto;
 };
+
+/** Every field but `ticking`, which never changes a result. */
+void
+visitFields(auto &v, FieldsOf<CoreParams> auto &p)
+{
+    v("fetch_width", p.fetchWidth);
+    v("issue_width", p.issueWidth);
+    v("retire_width", p.retireWidth);
+    v("rob_size", p.robSize);
+    v("iq_size", p.iqSize);
+    v("lq_size", p.lqSize);
+    v("sq_size", p.sqSize);
+    v("wb_size", p.wbSize);
+    v("wb_drain_per_cycle", p.wbDrainPerCycle);
+    v("mispredict_penalty", p.mispredictPenalty);
+    v("alu_units", p.aluUnits);
+    v("mul_units", p.mulUnits);
+    v("branch_units", p.branchUnits);
+    v("load_units", p.loadUnits);
+    v("store_units", p.storeUnits);
+    v("alu_latency", p.aluLatency);
+    v("mul_latency", p.mulLatency);
+    v("branch_latency", p.branchLatency);
+    v("agen_latency", p.agenLatency);
+    v("forward_latency", p.forwardLatency);
+    v("ede", p.ede, enforceModeName);
+    v("dmb_st_covers_cvap", p.dmbStCoversCvap);
+    v("predictor_entries", p.predictorEntries);
+    v("watchdog_cycles", p.watchdogCycles);
+    v("max_cycles", p.maxCycles);
+    v("edk_stall_cycles", p.edkStallCycles);
+    v("edk_recovery_mode", p.edkRecoveryMode, edkRecoveryModeName);
+}
 
 } // namespace ede
 

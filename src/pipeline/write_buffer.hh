@@ -27,6 +27,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "isa/inst.hh"
 #include "mem/mem_system.hh"
@@ -61,6 +62,17 @@ struct WriteBufferStats
     std::uint64_t dmbGated = 0;     ///< Blocked by a store barrier.
     std::uint64_t memRejected = 0;  ///< L1D refused the push.
 };
+
+void
+visitFields(auto &v, FieldsOf<WriteBufferStats> auto &s)
+{
+    v("inserted", s.inserted);
+    v("pushes", s.pushes);
+    v("src_id_gated", s.srcIdGated);
+    v("line_gated", s.lineGated);
+    v("dmb_gated", s.dmbGated);
+    v("mem_rejected", s.memRejected);
+}
 
 /** The write buffer with EDE enforcement support. */
 class WriteBuffer

@@ -80,6 +80,14 @@ struct SimParams
     int coreCount = 1;   ///< Cores sharing the hierarchy at the L2.
 };
 
+void
+visitFields(auto &v, FieldsOf<SimParams> auto &p)
+{
+    v("core", p.core);
+    v("mem", p.mem);
+    v("core_count", p.coreCount);
+}
+
 /** Table I defaults specialized for configuration @p c. */
 inline SimParams
 makeParams(Config c)

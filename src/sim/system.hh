@@ -72,6 +72,15 @@ struct CoreRunStats
     CacheStats l1d;           ///< This core's private L1D.
 };
 
+void
+visitFields(auto &v, FieldsOf<CoreRunStats> auto &s)
+{
+    v("core", s.core);
+    v("stats", s.stats);
+    v("wb", s.wb);
+    v("l1d", s.l1d);
+}
+
 /** Copyable snapshot of every statistic a bench needs. */
 struct RunResult
 {
@@ -102,6 +111,26 @@ struct RunResult
      */
     traffic::TrafficResult traffic;
 };
+
+void
+visitFields(auto &v, FieldsOf<RunResult> auto &r)
+{
+    v("config", r.config, configName);
+    v("cycles", r.cycles);
+    v("core_count", r.coreCount);
+    v("core", r.core);
+    v("wb", r.wb);
+    v("l1d", r.l1d);
+    v("per_core", r.perCore);
+    v("nvm", r.nvm);
+    v("nvm_occupancy", r.nvmOccupancy);
+    v.derived("nvm_occupancy_mean", r.nvmOccupancy.mean());
+    v("l2", r.l2);
+    v("l3", r.l3);
+    v("dram", r.dram);
+    v("coherence", r.coherence);
+    v("traffic", omitUnless(r.traffic, r.traffic.enabled));
+}
 
 /** An N-core simulated machine sharing one hierarchy at the L2. */
 class System

@@ -38,6 +38,7 @@
 
 #include <string_view>
 
+#include "common/fields.hh"
 #include "common/random.hh"
 #include "common/types.hh"
 
@@ -79,6 +80,17 @@ struct ArrivalSpec
     double thinkTime = 2000.0;  ///< Mean think gap, cycles (>= 0).
     /// @}
 };
+
+void
+visitFields(auto &v, FieldsOf<ArrivalSpec> auto &s)
+{
+    v("kind", s.kind, arrivalKindName);
+    v("mean_gap", s.meanGap);
+    v("burst_factor", s.burstFactor);
+    v("p_switch", s.pSwitch);
+    v("pool_size", s.poolSize);
+    v("think_time", s.thinkTime);
+}
 
 /** A seeded generator of monotone arrival timestamps. */
 class ArrivalProcess

@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace ede {
@@ -50,6 +51,21 @@ struct LatencySummary
     }
 };
 
+/** JSON prints every statistic of an empty population as null. */
+void
+visitFields(auto &v, FieldsOf<LatencySummary> auto &s)
+{
+    const bool any = s.count != 0;
+    const double mean = s.mean();
+    v("count", s.count);
+    v("p50", nullUnless(s.p50, any));
+    v("p99", nullUnless(s.p99, any));
+    v("p999", nullUnless(s.p999, any));
+    v("max", nullUnless(s.max, any));
+    v("sum", s.sum);
+    v.derived("mean", nullUnless(mean, any));
+}
+
 /** Digest @p samples (consumed: selection reorders the vector). */
 LatencySummary summarize(std::vector<Cycle> samples);
 
@@ -74,6 +90,18 @@ struct StreamLatency
     /// @}
 };
 
+void
+visitFields(auto &v, FieldsOf<StreamLatency> auto &s)
+{
+    v("stream", s.stream);
+    v("core", s.core);
+    v("open", s.open);
+    v("service", s.service);
+    v("shed", s.shed);
+    v("retries", s.retries);
+    v("failures", s.failures);
+}
+
 /**
  * One progress window of the run: transactions are binned by their
  * per-stream index (window = index * windows / txnsOfStream), so the
@@ -88,6 +116,15 @@ struct WindowLatency
     LatencySummary open;
     LatencySummary service;
 };
+
+void
+visitFields(auto &v, FieldsOf<WindowLatency> auto &w)
+{
+    v("window", w.window);
+    v("warmup", w.warmup);
+    v("open", w.open);
+    v("service", w.service);
+}
 
 /**
  * What the overload-control replay (traffic/overload.hh) reports when
@@ -143,6 +180,33 @@ struct OverloadResult
     LatencySummary goodputOpen;  ///< Deadline-met txns only.
 };
 
+void
+visitFields(auto &v, FieldsOf<OverloadResult> auto &r)
+{
+    v("enabled", r.enabled);
+    v("effective_depth", r.effectiveDepth);
+    v("offered", r.offered);
+    v("admitted", r.admitted);
+    v("completed", r.completed);
+    v("goodput", r.goodput);
+    v("timeouts", r.timeouts);
+    v("failures", r.failures);
+    v("steady_offered", r.steadyOffered);
+    v("steady_goodput", r.steadyGoodput);
+    v("steady_horizon", r.steadyHorizon);
+    v("shed_queue", r.shedQueue);
+    v("shed_deadline", r.shedDeadline);
+    v("shed_token", r.shedToken);
+    v("shed_degrade", r.shedDegrade);
+    v("retries", r.retries);
+    v("retry_exhausted", r.retryExhausted);
+    v("degrade_up", r.degradeUp);
+    v("degrade_down", r.degradeDown);
+    v("max_degrade_level", r.maxDegradeLevel);
+    v("open", r.open);
+    v("goodput_open", r.goodputOpen);
+}
+
 /** Everything a traffic run reports beyond the closed-loop counters. */
 struct TrafficResult
 {
@@ -163,6 +227,21 @@ struct TrafficResult
 
     OverloadResult overload;  ///< enabled only when a policy ran.
 };
+
+void
+visitFields(auto &v, FieldsOf<TrafficResult> auto &r)
+{
+    v("enabled", r.enabled);
+    v("open", r.open);
+    v("service", r.service);
+    v("open_warmup", r.openWarmup);
+    v("open_steady", r.openSteady);
+    v("service_warmup", r.serviceWarmup);
+    v("service_steady", r.serviceSteady);
+    v("windows", r.windows);
+    v("streams", r.streams);
+    v("overload", omitUnless(r.overload, r.overload.enabled));
+}
 
 } // namespace traffic
 } // namespace ede

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
 #include "common/random.hh"
 
 namespace ede {
@@ -38,6 +39,14 @@ struct OpMix
 
     std::uint64_t keys = 256;   ///< Keyspace size per stream.
 };
+
+void
+visitFields(auto &v, FieldsOf<OpMix> auto &m)
+{
+    v("read_fraction", m.readFraction);
+    v("zipf_theta", m.zipfTheta);
+    v("keys", m.keys);
+}
 
 /**
  * Incremental zipfian sampler over [0, keys): rank 0 is the hottest

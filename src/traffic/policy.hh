@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace ede {
@@ -148,6 +149,23 @@ struct OverloadPolicy
     /** True when any admission policy gates the replay. */
     bool active() const { return admission != AdmissionKind::None; }
 };
+
+void
+visitFields(auto &v, FieldsOf<OverloadPolicy> auto &p)
+{
+    v("admission", p.admission, admissionKindName);
+    v("queue_depth", p.queueDepth);
+    v("deadline", p.deadline);
+    v("token_rate", p.tokenRatePerKCycle);
+    v("token_burst", p.tokenBurst);
+    v("retry_budget", p.retryBudget);
+    v("retry_backoff_base", p.retryBackoffBase);
+    v("retry_backoff_cap", p.retryBackoffCap);
+    v("degrade", p.degrade);
+    v("shed_window", p.shedWindow);
+    v("degrade_permille", p.degradePermille);
+    v("recover_permille", p.recoverPermille);
+}
 
 /**
  * The backpressure signal one machine run emits, derived from the

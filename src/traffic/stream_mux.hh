@@ -93,6 +93,21 @@ struct TrafficPlan
     std::uint64_t seed = 42;  ///< Master seed (keys, kinds, arrivals).
 };
 
+void
+visitFields(auto &v, FieldsOf<TrafficPlan> auto &p)
+{
+    v("streams", p.streams);
+    v("txns_per_stream", p.txnsPerStream);
+    v("total_txns", p.totalTxns);
+    v("ops_per_txn", p.opsPerTxn);
+    v("mix", p.mix);
+    v("arrival", p.arrival);
+    v("warmup_permille", p.warmupPermille);
+    v("latency_windows", p.latencyWindows);
+    v("policy", p.policy);
+    v("seed", p.seed);
+}
+
 /** Transactions stream @p s issues under @p plan. */
 constexpr std::uint64_t
 trafficTxnsOfStream(const TrafficPlan &plan, unsigned s)

@@ -9,7 +9,7 @@
 #include "audit/auditor.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "exp/journal.hh"
+#include "exp/fields.hh"
 #include "exp/scheduler.hh"
 #include "mem/mem_system.hh"
 #include "pipeline/core.hh"
@@ -25,8 +25,6 @@ namespace {
  *  reserved for injections, so a use of them is provably undefined. */
 constexpr Edk kMaxGenKey = 12;
 constexpr Edk kReservedLo = 13;
-
-enum class ProgClass { WellFormed, Malformed, HardwareFault };
 
 /** One generated program plus the metadata the contract needs. */
 struct GenProgram
@@ -512,22 +510,6 @@ dumpProgram(const GenProgram &p)
     }
 }
 
-/** Per-program verdict plus the tallies merged into the report. */
-struct ProgResult
-{
-    ProgClass cls = ProgClass::WellFormed;
-    bool accepted = false;
-    std::string failure; ///< Empty when the contract held.
-    std::array<std::uint64_t, kNumVerifyKinds> diag{};
-    std::uint64_t runs = 0;
-    std::uint64_t detectorReports = 0;
-    std::uint64_t fencesSynthesized = 0;
-    std::uint64_t externalStalls = 0;
-    std::uint64_t watchdogFirings = 0;
-    std::uint64_t auditChecked = 0;
-    std::uint64_t auditViolations = 0;
-};
-
 void
 fail(ProgResult &res, std::size_t index, const std::string &what)
 {
@@ -739,51 +721,7 @@ checkProgram(std::size_t index, const FuzzOptions &opt)
     return res;
 }
 
-constexpr const char *kProgResultMagic = "ede-fuzz-prog-v1";
-
-/** ProgResult as one whitespace-token line (worker wire format). */
-std::string
-serializeProgResult(const ProgResult &res)
-{
-    std::ostringstream os;
-    os << kProgResultMagic << ' ' << static_cast<int>(res.cls) << ' '
-       << (res.accepted ? 1 : 0) << ' ' << res.runs << ' '
-       << res.detectorReports << ' ' << res.fencesSynthesized << ' '
-       << res.externalStalls << ' ' << res.watchdogFirings << ' '
-       << res.auditChecked << ' ' << res.auditViolations;
-    for (std::uint64_t d : res.diag)
-        os << ' ' << d;
-    os << ' ' << exp::journalEscape(res.failure);
-    return os.str();
-}
-
-std::optional<ProgResult>
-deserializeProgResult(const std::string &text)
-{
-    std::istringstream is(text);
-    std::string magic;
-    int cls = 0, accepted = 0;
-    ProgResult res;
-    if (!(is >> magic >> cls >> accepted >> res.runs >>
-          res.detectorReports >> res.fencesSynthesized >>
-          res.externalStalls >> res.watchdogFirings >>
-          res.auditChecked >> res.auditViolations) ||
-        magic != kProgResultMagic || cls < 0 ||
-        cls > static_cast<int>(ProgClass::HardwareFault)) {
-        return std::nullopt;
-    }
-    res.cls = static_cast<ProgClass>(cls);
-    res.accepted = accepted != 0;
-    for (std::uint64_t &d : res.diag) {
-        if (!(is >> d))
-            return std::nullopt;
-    }
-    std::string escaped;
-    if (!(is >> escaped))
-        return std::nullopt;
-    res.failure = exp::journalUnescape(escaped);
-    return res;
-}
+constexpr const char *kProgResultMagic = "ede-fuzz-prog";
 
 } // namespace
 
@@ -846,14 +784,15 @@ runVerifyFuzz(const FuzzOptions &options)
             [&]() -> std::string {
                 if (i == options.chaosCrashIndex)
                     std::abort();
-                return serializeProgResult(checkProgram(i, options));
+                return exp::toWire(kProgResultMagic,
+                                    checkProgram(i, options));
             },
             options.limits, options.retry,
             /*jitterSeed=*/options.seed ^
                 ((i + 1) * 0x9e3779b97f4a7c15ull));
         if (run.ok()) {
-            if (std::optional<ProgResult> r =
-                    deserializeProgResult(run.payload)) {
+            if (std::optional<ProgResult> r = exp::fromWire<ProgResult>(
+                    run.payload, kProgResultMagic)) {
                 slots[i] = std::move(*r);
                 return;
             }

@@ -38,8 +38,10 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/fields.hh"
 #include "exp/worker.hh"
 #include "verify/diagnostics.hh"
 
@@ -82,6 +84,56 @@ struct FuzzOptions
      */
     std::size_t chaosCrashIndex = kNoChaos;
 };
+
+/** How a generated program was built. */
+enum class ProgClass { WellFormed, Malformed, HardwareFault };
+
+/** Printable name. */
+constexpr std::string_view
+progClassName(ProgClass cls)
+{
+    switch (cls) {
+      case ProgClass::WellFormed: return "well-formed";
+      case ProgClass::Malformed: return "malformed";
+      case ProgClass::HardwareFault: return "hardware-fault";
+    }
+    return "<bad-prog-class>";
+}
+
+/**
+ * One program's verdict plus the tallies merged into the report; an
+ * isolated worker ships it back in the wire format.
+ */
+struct ProgResult
+{
+    ProgClass cls = ProgClass::WellFormed;
+    bool accepted = false;
+    std::string failure; ///< Empty when the contract held.
+    std::array<std::uint64_t, kNumVerifyKinds> diag{};
+    std::uint64_t runs = 0;
+    std::uint64_t detectorReports = 0;
+    std::uint64_t fencesSynthesized = 0;
+    std::uint64_t externalStalls = 0;
+    std::uint64_t watchdogFirings = 0;
+    std::uint64_t auditChecked = 0;
+    std::uint64_t auditViolations = 0;
+};
+
+void
+visitFields(auto &v, FieldsOf<ProgResult> auto &r)
+{
+    v("cls", r.cls, progClassName);
+    v("accepted", r.accepted);
+    v("failure", r.failure);
+    v("diag", r.diag);
+    v("runs", r.runs);
+    v("detector_reports", r.detectorReports);
+    v("fences_synthesized", r.fencesSynthesized);
+    v("external_stalls", r.externalStalls);
+    v("watchdog_firings", r.watchdogFirings);
+    v("audit_checked", r.auditChecked);
+    v("audit_violations", r.auditViolations);
+}
 
 /** Aggregate campaign outcome. */
 struct FuzzReport

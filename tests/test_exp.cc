@@ -308,6 +308,38 @@ TEST(ResultCacheTest, TreatsCorruptSnapshotsAsMisses)
     ASSERT_TRUE(std::filesystem::exists(path));
     std::ofstream(path, std::ios::trunc) << "not a snapshot";
     EXPECT_FALSE(cache.load(cell.point, cell.fingerprint).has_value());
+
+    // A traffic cell whose stream count claims more records than any
+    // file holds: still a miss, not an allocation failure.
+    ExperimentPoint p;
+    p.label = "traffic-cell";
+    p.config = Config::WB;
+    p.simParams = makeParams(Config::WB);
+    p.simParams.coreCount = 2;
+    p.traffic = true;
+    p.trafficPlan.streams = 2;
+    p.trafficPlan.txnsPerStream = 4;
+    p.trafficPlan.opsPerTxn = 2;
+    p.trafficPlan.mix.keys = 32;
+    ExperimentPlan plan;
+    plan.add(p);
+    RunnerOptions opt;
+    opt.jobs = 1;
+    opt.printSummary = false;
+    const ExperimentCell traffic = exp::runPlan(plan, opt).cells().front();
+    ASSERT_TRUE(traffic.result.traffic.enabled);
+    std::string text = exp::serializeCell(traffic);
+    const std::size_t at = text.find("\nstreams ");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t num = at + 9;
+    text.replace(num, text.find('\n', num) - num, "4000000000000");
+    cache.store(traffic);
+    std::ofstream(dir + "/" + exp::fingerprintHex(traffic.fingerprint) +
+                      ".snapshot",
+                  std::ios::trunc)
+        << text;
+    EXPECT_FALSE(
+        cache.load(traffic.point, traffic.fingerprint).has_value());
 }
 
 TEST(ResultCacheTest, RoundTripsAMultiCoreConcCell)

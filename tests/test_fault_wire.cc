@@ -7,7 +7,7 @@
  * the four decoders gets a real payload carrying at least one
  * failure or counterexample, then must reject every prefix cut at a
  * token boundary before the last token, and the payload with a list
- * count raised by one.
+ * count raised by one or to the largest 64-bit value.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +29,9 @@ namespace {
  * Expect @p decode to accept @p payload, reproducing it through
  * @p encode, and to reject every damaged variant: each prefix ending
  * at a token boundary before the last token, and the payload with the
- * count after each of @p countKeys raised by one.
+ * count after each of @p countKeys raised by one or to 2^64 - 1 (a
+ * count no input can hold, which must be a rejection, not an
+ * allocation failure).
  */
 template <class Result>
 void
@@ -65,10 +67,12 @@ expectRejectsDamage(const std::string &payload,
         const std::size_t num = at + head.size();
         const std::size_t len = payload.find('\n', num) - num;
         const std::uint64_t count = std::stoull(payload.substr(num, len));
-        std::string bumped = payload;
-        bumped.replace(num, len, std::to_string(count + 1));
-        EXPECT_FALSE(decode(bumped).has_value())
-            << key << " raised to " << count + 1;
+        for (std::uint64_t raised : {count + 1, ~std::uint64_t{0}}) {
+            std::string bumped = payload;
+            bumped.replace(num, len, std::to_string(raised));
+            EXPECT_FALSE(decode(bumped).has_value())
+                << key << " raised to " << raised;
+        }
     }
 }
 
@@ -93,7 +97,8 @@ TEST(FaultWire, CampaignDecoderRejectsDamage)
         Reproducer{opts.seed, c.config, bad->crashCycle, bad->plan});
 
     expectRejectsDamage(serializeConfigResult(c), serializeConfigResult,
-                        deserializeConfigResult, {"results", "failures"});
+                        deserializeConfigResult,
+                        {"crash_points", "failures"});
 }
 
 TEST(FaultWire, ConcCampaignDecoderRejectsDamage)
@@ -120,7 +125,7 @@ TEST(FaultWire, ConcCampaignDecoderRejectsDamage)
     expectRejectsDamage(serializeConcCampaignResult(c),
                         serializeConcCampaignResult,
                         deserializeConcCampaignResult,
-                        {"results", "failures"});
+                        {"crash_points", "failures"});
 }
 
 TEST(FaultWire, ModelCheckDecoderRejectsDamage)

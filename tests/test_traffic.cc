@@ -32,6 +32,7 @@
 #include "exp/fingerprint.hh"
 #include "exp/result_cache.hh"
 #include "exp/runner.hh"
+#include "exp/sink.hh"
 #include "sim/session.hh"
 #include "traffic/arrival.hh"
 #include "traffic/latency.hh"
@@ -539,6 +540,19 @@ trafficPoint(double gap, const std::string &label)
     pt.traffic = true;
     pt.trafficPlan = tinyPlan(gap);
     return pt;
+}
+
+TEST(TrafficExp, QuarantinedCellIsNamedTraffic)
+{
+    exp::ExperimentCell cell;
+    cell.point = trafficPoint(60.0, "WB/g60");
+    cell.failed = true;
+    cell.failure.outcome = exp::JobOutcome::Crashed;
+    cell.failure.signal = 9;
+    const std::string json =
+        exp::resultsToJson("t", exp::ExperimentResults({cell}));
+    EXPECT_NE(json.find("\"app\": \"traffic\""), std::string::npos)
+        << json;
 }
 
 TEST(TrafficExp, ParallelCellsAreBitIdenticalToSerial)
