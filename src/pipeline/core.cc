@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <limits>
 #include <string_view>
 
 #include "common/logging.hh"
@@ -36,10 +35,16 @@ resolveTickingMode(TickingMode mode)
 
 OoOCore::OoOCore(CoreParams params, MemSystem &mem, unsigned coreId)
     : params_(params), mem_(mem), coreId_(coreId),
+      rob_(static_cast<std::size_t>(params.robSize)),
       predictor_(params.predictorEntries)
 {
     ticking_ = resolveTickingMode(params_.ticking);
     regMap_.fill(kNoSeq);
+    // Sized for the ROB plus the write buffer's retired stores; squash
+    // gaps grow them.
+    const SeqSet sized(2 * static_cast<std::size_t>(params_.robSize));
+    notExecuted_ = incomplete_ = incompleteStores_ = incompleteCvaps_ =
+        incompleteDsbs_ = incompleteDmbs_ = sized;
     wb_ = std::make_unique<WriteBuffer>(
         params_.wbSize, params_.wbDrainPerCycle,
         mem_.params().l1d.lineBytes, mem_,
@@ -48,18 +53,11 @@ OoOCore::OoOCore(CoreParams params, MemSystem &mem, unsigned coreId)
         coreId);
 }
 
-InflightInst *
-OoOCore::find(SeqNum seq)
-{
-    auto it = index_.find(seq);
-    return it == index_.end() ? nullptr : it->second;
-}
-
 bool
 OoOCore::regsReady(const InflightInst &inst) const
 {
     for (SeqNum dep : {inst.regDep1, inst.regDep2, inst.regDepBase}) {
-        if (dep != kNoSeq && notExecuted_.count(dep))
+        if (notExecuted_.contains(dep))
             return false;
     }
     return true;
@@ -81,25 +79,15 @@ OoOCore::gatesAtIssue(const InflightInst &inst) const
 bool
 OoOCore::edeIssueReady(const InflightInst &inst) const
 {
-    if (inst.edeSrc != kNoSeq && incomplete_.count(inst.edeSrc))
-        return false;
-    if (inst.edeSrc2 != kNoSeq && incomplete_.count(inst.edeSrc2))
-        return false;
-    return true;
+    return !incomplete_.contains(inst.edeSrc) &&
+           !incomplete_.contains(inst.edeSrc2);
 }
 
 bool
 OoOCore::storesOlderIncomplete(SeqNum barrier) const
 {
-    auto st = incompleteStores_.begin();
-    if (st != incompleteStores_.end() && *st < barrier)
-        return true;
-    if (params_.dmbStCoversCvap) {
-        auto cv = incompleteCvaps_.begin();
-        if (cv != incompleteCvaps_.end() && *cv < barrier)
-            return true;
-    }
-    return false;
+    return incompleteStores_.min() < barrier ||
+           (params_.dmbStCoversCvap && incompleteCvaps_.min() < barrier);
 }
 
 void
@@ -128,7 +116,7 @@ OoOCore::completeSeq(SeqNum seq, const StaticInst &si,
     if (si.isEdeProducer())
         edm_.complete(si.edkDef, seq);
     wb_->onProducerComplete(seq);
-    if (InflightInst *in = find(seq)) {
+    if (InflightInst *in = rob_.find(seq)) {
         in->completed = true;
         in->completeCycle = now;
         if (in->edeCounted) {
@@ -161,7 +149,7 @@ OoOCore::pollLoads(Cycle now)
     for (auto it = outstandingLoads_.begin();
          it != outstandingLoads_.end();) {
         if (mem_.consumeDone(it->first)) {
-            InflightInst *in = find(it->second);
+            InflightInst *in = rob_.find(it->second);
             ede_assert(in, "load completion for unknown seq ",
                        it->second);
             in->executed = true;
@@ -193,7 +181,7 @@ OoOCore::execWriteback(Cycle now)
         // event and the store/cvap agen path, which mutate pipeline
         // state without going through completeSeq.
         progress_ = true;
-        InflightInst *in = find(seq);
+        InflightInst *in = rob_.find(seq);
         if (!in)
             continue; // Squashed after the event was scheduled.
         in->executed = true;
@@ -231,16 +219,11 @@ void
 OoOCore::checkDmbCompletion(Cycle now)
 {
     while (!incompleteDmbs_.empty()) {
-        const SeqNum d = *incompleteDmbs_.begin();
-        auto older_in = [d](const std::set<SeqNum> &s) {
-            return !s.empty() && *s.begin() < d;
-        };
-        if (older_in(incompleteStores_))
+        const SeqNum d = incompleteDmbs_.min();
+        if (storesOlderIncomplete(d))
             break;
-        if (params_.dmbStCoversCvap && older_in(incompleteCvaps_))
-            break;
-        incompleteDmbs_.erase(incompleteDmbs_.begin());
-        InflightInst *in = find(d);
+        incompleteDmbs_.erase(d);
+        InflightInst *in = rob_.find(d);
         ede_assert(in, "DMB completion for unknown seq ", d);
         completeSeq(d, in->di.si, in->traceIdx, now);
     }
@@ -250,11 +233,11 @@ void
 OoOCore::checkDsbCompletion(Cycle now)
 {
     while (!incompleteDsbs_.empty()) {
-        const SeqNum d = *incompleteDsbs_.begin();
-        if (incomplete_.empty() || *incomplete_.begin() != d)
+        const SeqNum d = incompleteDsbs_.min();
+        if (incomplete_.min() != d)
             break; // Some older instruction is still incomplete.
-        incompleteDsbs_.erase(incompleteDsbs_.begin());
-        InflightInst *in = find(d);
+        incompleteDsbs_.erase(d);
+        InflightInst *in = rob_.find(d);
         ede_assert(in, "DSB completion for unknown seq ", d);
         in->executed = true;
         in->execCycle = now;
@@ -317,33 +300,28 @@ OoOCore::retire(Cycle now)
         // Retirement commits this producer's mapping into the
         // non-speculative EDM -- unless it already completed, in
         // which case the link is dead.
-        if (h.di.si.isEdeProducer() && incomplete_.count(h.seq))
+        if (h.di.si.isEdeProducer() && incomplete_.contains(h.seq))
             edm_.retireDefine(h.di.si.edkDef, h.seq);
 
         h.retireCycle = now;
         ++stats_.retired;
         lastProgressCycle_ = now;
         progress_ = true;
-        if (op == Op::Ldr && !lq_.empty() && lq_.front() == h.seq)
-            lq_.pop_front();
+        if (op == Op::Ldr && !lq_.empty() && lq_.front() == &h)
+            lq_.erase(lq_.begin());
         if ((opIsStore(op) || opIsCvap(op)) && !sq_.empty() &&
-            sq_.front() == h.seq) {
-            sq_.pop_front();
+            sq_.front() == &h) {
+            sq_.erase(sq_.begin());
         }
-        index_.erase(h.seq);
-        rob_.pop_front();
+        rob_.popFront();
     }
 }
 
 void
 OoOCore::issue(Cycle now)
 {
-    const SeqNum dsb_gate = incompleteDsbs_.empty()
-        ? std::numeric_limits<SeqNum>::max()
-        : *incompleteDsbs_.begin();
-    const SeqNum dmb_gate = incompleteDmbs_.empty()
-        ? std::numeric_limits<SeqNum>::max()
-        : *incompleteDmbs_.begin();
+    const SeqNum dsb_gate = incompleteDsbs_.min();
+    const SeqNum dmb_gate = incompleteDmbs_.min();
 
     int alu = params_.aluUnits;
     int mul = params_.mulUnits;
@@ -353,16 +331,19 @@ OoOCore::issue(Cycle now)
     int issued = 0;
     bool removed_any = false;
 
-    for (SeqNum s : iq_) {
+    for (InflightInst *inp : iq_) {
         if (issued >= params_.issueWidth)
             break;
+        InflightInst &in = *inp;
+        const SeqNum s = in.seq;
         if (s > dsb_gate)
             break; // Everything younger than an incomplete DSB waits.
-        InflightInst *inp = find(s);
-        ede_assert(inp && inp->inIq, "stale IQ entry ", s);
-        InflightInst &in = *inp;
-        if (!regsReady(in))
-            continue;
+        ede_assert(in.inIq, "stale IQ entry ", s);
+        if (!in.srcsExecuted) {
+            if (!regsReady(in))
+                continue;
+            in.srcsExecuted = true;
+        }
         if (gatesAtIssue(in) && !edeIssueReady(in))
             continue; // eDepReady clear (Section V-B1).
         // Store barrier: younger memory operations wait in the LSQ.
@@ -409,9 +390,9 @@ OoOCore::issue(Cycle now)
             if (load <= 0)
                 break;
             if (in.memDep != kNoSeq) {
-                if (notExecuted_.count(in.memDep))
+                if (notExecuted_.contains(in.memDep))
                     break; // Store address/data not ready yet.
-                if (incomplete_.count(in.memDep)) {
+                if (incomplete_.contains(in.memDep)) {
                     if (!in.memDepCovers)
                         break; // Partial overlap: wait for the store.
                     --load;
@@ -446,10 +427,8 @@ OoOCore::issue(Cycle now)
     }
 
     if (removed_any) {
-        std::erase_if(iq_, [this](SeqNum s) {
-            InflightInst *in = find(s);
-            return !in || !in->inIq;
-        });
+        std::erase_if(iq_,
+                      [](const InflightInst *in) { return !in->inIq; });
     }
     stats_.issueHist.sample(static_cast<std::uint64_t>(issued));
 }
@@ -472,7 +451,7 @@ OoOCore::dispatch(Cycle now)
             op == Op::BranchCond ||
             (op == Op::Join && params_.ede != EnforceMode::WB);
 
-        if (rob_.size() >= static_cast<std::size_t>(params_.robSize)) {
+        if (rob_.full()) {
             ++stats_.dispatchStallRob;
             return;
         }
@@ -492,13 +471,10 @@ OoOCore::dispatch(Cycle now)
             return;
         }
 
-        rob_.emplace_back();
-        InflightInst &in = rob_.back();
+        InflightInst &in = rob_.push(nextSeq_++);
         in.di = di;
-        in.seq = nextSeq_++;
         in.traceIdx = fetchIdx_;
         in.dispatchCycle = now;
-        index_.emplace(in.seq, &in);
         ++fetchIdx_;
         ++stats_.dispatched;
         progress_ = true;
@@ -535,7 +511,7 @@ OoOCore::dispatch(Cycle now)
             const Addr lo = di.addr;
             const Addr hi = di.addr + si.size;
             for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
-                const InflightInst *st = index_.at(*it);
+                const InflightInst *st = *it;
                 if (!st->di.isStore())
                     continue;
                 const Addr slo = st->di.addr;
@@ -585,19 +561,19 @@ OoOCore::dispatch(Cycle now)
                 in.executed = true; // Gated in the write buffer.
             } else {
                 notExecuted_.insert(in.seq);
-                iq_.push_back(in.seq);
+                iq_.push_back(&in);
                 in.inIq = true;
             }
             break;
           default:
             notExecuted_.insert(in.seq);
             incomplete_.insert(in.seq);
-            iq_.push_back(in.seq);
+            iq_.push_back(&in);
             in.inIq = true;
             if (op == Op::Ldr)
-                lq_.push_back(in.seq);
+                lq_.push_back(&in);
             if (opIsStore(op) || opIsCvap(op))
-                sq_.push_back(in.seq);
+                sq_.push_back(&in);
             if (opIsStore(op)) {
                 incompleteStores_.insert(in.seq);
                 if (!dmbSeqs_.empty())
@@ -640,6 +616,13 @@ OoOCore::squash(InflightInst &branch, Cycle now)
     const SeqNum bseq = branch.seq;
     const std::size_t redirect = branch.traceIdx + 1;
 
+    // The queues hold ROB slots: prune them before the slots recycle.
+    for (auto *queue : {&iq_, &lq_, &sq_}) {
+        std::erase_if(*queue, [bseq](const InflightInst *in) {
+            return in->seq > bseq;
+        });
+    }
+
     while (!rob_.empty() && rob_.back().seq > bseq) {
         InflightInst &x = rob_.back();
         ++stats_.squashedInsts;
@@ -649,28 +632,14 @@ OoOCore::squash(InflightInst &branch, Cycle now)
             outstandingLoads_.erase(x.loadReq)) {
             orphanReqs_.insert(x.loadReq);
         }
-        index_.erase(x.seq);
-        rob_.pop_back();
+        rob_.popBack();
     }
 
-    auto prune_seqs = [bseq](auto &container) {
-        std::erase_if(container,
-                      [bseq](SeqNum s) { return s > bseq; });
-    };
-    prune_seqs(iq_);
-    prune_seqs(lq_);
-    prune_seqs(sq_);
-    notExecuted_.erase(notExecuted_.upper_bound(bseq),
-                       notExecuted_.end());
-    incomplete_.erase(incomplete_.upper_bound(bseq), incomplete_.end());
-    incompleteStores_.erase(incompleteStores_.upper_bound(bseq),
-                            incompleteStores_.end());
-    incompleteCvaps_.erase(incompleteCvaps_.upper_bound(bseq),
-                           incompleteCvaps_.end());
-    incompleteDsbs_.erase(incompleteDsbs_.upper_bound(bseq),
-                          incompleteDsbs_.end());
-    incompleteDmbs_.erase(incompleteDmbs_.upper_bound(bseq),
-                          incompleteDmbs_.end());
+    for (SeqSet *set : {&notExecuted_, &incomplete_, &incompleteStores_,
+                        &incompleteCvaps_, &incompleteDsbs_,
+                        &incompleteDmbs_}) {
+        set->eraseAbove(bseq);
+    }
     while (!dmbSeqs_.empty() && dmbSeqs_.back() > bseq)
         dmbSeqs_.pop_back();
 
@@ -678,7 +647,7 @@ OoOCore::squash(InflightInst &branch, Cycle now)
     // in-flight producer definitions (Section V-A1).
     std::vector<std::pair<Edk, SeqNum>> survivors;
     for (const InflightInst &in : rob_) {
-        if (in.di.si.isEdeProducer() && incomplete_.count(in.seq))
+        if (in.di.si.isEdeProducer() && incomplete_.contains(in.seq))
             survivors.emplace_back(in.di.si.edkDef, in.seq);
     }
     edm_.squashRestore(survivors);
@@ -715,7 +684,7 @@ bool
 OoOCore::edkNodeProgressing(SeqNum s,
                             std::vector<SeqNum> &blockers) const
 {
-    if (!incomplete_.count(s))
+    if (!incomplete_.contains(s))
         return true;
 
     // Write-buffer resident?
@@ -730,17 +699,13 @@ OoOCore::edkNodeProgressing(SeqNum s,
             blockers.push_back(e.srcId2);
         wb_->appendLineBlockers(s, blockers);
         if (e.dmbBarrier != kNoSeq) {
-            auto st = incompleteStores_.begin();
-            if (st != incompleteStores_.end() && *st < e.dmbBarrier &&
-                *st != s) {
-                blockers.push_back(*st);
-            }
+            const SeqNum st = incompleteStores_.min();
+            if (st < e.dmbBarrier && st != s)
+                blockers.push_back(st);
             if (params_.dmbStCoversCvap) {
-                auto cv = incompleteCvaps_.begin();
-                if (cv != incompleteCvaps_.end() &&
-                    *cv < e.dmbBarrier && *cv != s) {
-                    blockers.push_back(*cv);
-                }
+                const SeqNum cv = incompleteCvaps_.min();
+                if (cv < e.dmbBarrier && cv != s)
+                    blockers.push_back(cv);
             }
         }
         // No gate left: the push starts as soon as the L1D accepts
@@ -748,10 +713,10 @@ OoOCore::edkNodeProgressing(SeqNum s,
         return blockers.empty();
     }
 
-    auto it = index_.find(s);
-    if (it == index_.end())
+    const InflightInst *inp = rob_.find(s);
+    if (!inp)
         return false; // Incomplete but untracked: a dangling link.
-    const InflightInst &in = *it->second;
+    const InflightInst &in = *inp;
     if (in.completed)
         return true;
     if (in.di.isLoad() && in.loadReq != kNoReq)
@@ -762,20 +727,15 @@ OoOCore::edkNodeProgressing(SeqNum s,
     const Op op = in.di.op();
     switch (op) {
       case Op::DmbSt: {
-        auto st = incompleteStores_.begin();
-        if (st != incompleteStores_.end() && *st < s)
-            blockers.push_back(*st);
-        if (params_.dmbStCoversCvap) {
-            auto cv = incompleteCvaps_.begin();
-            if (cv != incompleteCvaps_.end() && *cv < s)
-                blockers.push_back(*cv);
-        }
+        if (incompleteStores_.min() < s)
+            blockers.push_back(incompleteStores_.min());
+        if (params_.dmbStCoversCvap && incompleteCvaps_.min() < s)
+            blockers.push_back(incompleteCvaps_.min());
         return blockers.empty();
       }
       case Op::DsbSy: {
-        auto ol = incomplete_.begin();
-        if (ol != incomplete_.end() && *ol < s)
-            blockers.push_back(*ol);
+        if (incomplete_.min() < s)
+            blockers.push_back(incomplete_.min());
         return blockers.empty();
       }
       case Op::WaitKey:
@@ -809,31 +769,27 @@ OoOCore::edkNodeProgressing(SeqNum s,
 
     if (in.inIq) {
         if (gatesAtIssue(in)) {
-            if (in.edeSrc != kNoSeq && incomplete_.count(in.edeSrc))
+            if (incomplete_.contains(in.edeSrc))
                 blockers.push_back(in.edeSrc);
-            if (in.edeSrc2 != kNoSeq && incomplete_.count(in.edeSrc2))
+            if (incomplete_.contains(in.edeSrc2))
                 blockers.push_back(in.edeSrc2);
         }
         for (SeqNum dep : {in.regDep1, in.regDep2, in.regDepBase}) {
-            if (dep != kNoSeq && notExecuted_.count(dep))
+            if (notExecuted_.contains(dep))
                 blockers.push_back(dep);
         }
-        if (op == Op::Ldr && in.memDep != kNoSeq) {
-            if (notExecuted_.count(in.memDep)) {
+        if (op == Op::Ldr) {
+            if (notExecuted_.contains(in.memDep)) {
                 blockers.push_back(in.memDep);
-            } else if (incomplete_.count(in.memDep) &&
+            } else if (incomplete_.contains(in.memDep) &&
                        !in.memDepCovers) {
                 blockers.push_back(in.memDep);
             }
         }
-        if (!incompleteDsbs_.empty() &&
-            *incompleteDsbs_.begin() < s) {
-            blockers.push_back(*incompleteDsbs_.begin());
-        }
-        if (in.di.isMemRef() && !incompleteDmbs_.empty() &&
-            *incompleteDmbs_.begin() < s) {
-            blockers.push_back(*incompleteDmbs_.begin());
-        }
+        if (incompleteDsbs_.min() < s)
+            blockers.push_back(incompleteDsbs_.min());
+        if (in.di.isMemRef() && incompleteDmbs_.min() < s)
+            blockers.push_back(incompleteDmbs_.min());
         // No gate: only functional-unit bandwidth holds it back.
         return blockers.empty();
     }
@@ -896,10 +852,9 @@ OoOCore::edkChainNode(SeqNum s, const EdkWalk &walk) const
     auto w = walk.waitsOn.find(s);
     if (w != walk.waitsOn.end())
         n.waitsOn = w->second;
-    auto it = index_.find(s);
-    if (it != index_.end()) {
-        n.traceIdx = it->second->traceIdx;
-        n.op = it->second->di.op();
+    if (const InflightInst *in = rob_.find(s)) {
+        n.traceIdx = in->traceIdx;
+        n.op = in->di.op();
         return n;
     }
     for (const WbEntry &e : wb_->entries()) {
@@ -979,7 +934,7 @@ OoOCore::applyEdkDegrade(const EdkStallAnalysis &a, Cycle now)
     if (!a.releasableNow)
         return; // Re-checked after the next stall window.
     bool cleared = false;
-    if (InflightInst *in = find(a.release)) {
+    if (InflightInst *in = rob_.find(a.release)) {
         if (in->inIq &&
             (in->edeSrc != kNoSeq || in->edeSrc2 != kNoSeq)) {
             in->edeSrc = kNoSeq;
@@ -1030,16 +985,10 @@ OoOCore::buildSimError(SimErrorKind kind, Cycle now) const
         e.robHead.push_back(r);
     }
 
-    const SeqNum dsb_gate = incompleteDsbs_.empty()
-        ? std::numeric_limits<SeqNum>::max()
-        : *incompleteDsbs_.begin();
-    for (SeqNum s : iq_) {
+    for (const InflightInst *inp : iq_) {
         if (e.iqWaits.size() >= 8)
             break;
-        auto it = index_.find(s);
-        if (it == index_.end())
-            continue;
-        const InflightInst &in = *it->second;
+        const InflightInst &in = *inp;
         IqWaitInfo w;
         w.seq = in.seq;
         w.op = in.di.op();
@@ -1047,7 +996,7 @@ OoOCore::buildSimError(SimErrorKind kind, Cycle now) const
         w.edeGated = gatesAtIssue(in) && !edeIssueReady(in);
         w.edeSrc = in.edeSrc;
         w.edeSrc2 = in.edeSrc2;
-        w.dsbGated = s > dsb_gate;
+        w.dsbGated = in.seq > incompleteDsbs_.min();
         e.iqWaits.push_back(w);
     }
 

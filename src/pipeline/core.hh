@@ -36,10 +36,8 @@
 #define EDE_PIPELINE_CORE_HH
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <queue>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -53,7 +51,7 @@
 #include "core/wait_counters.hh"
 #include "mem/memory_image.hh"
 #include "mem/mem_system.hh"
-#include "pipeline/inflight.hh"
+#include "pipeline/inflight_state.hh"
 #include "pipeline/params.hh"
 #include "pipeline/predictor.hh"
 #include "pipeline/sim_error.hh"
@@ -342,7 +340,6 @@ class OoOCore
     EdkChainNode edkChainNode(SeqNum s, const EdkWalk &walk) const;
     void applyEdkDegrade(const EdkStallAnalysis &a, Cycle now);
 
-    InflightInst *find(SeqNum seq);
     bool regsReady(const InflightInst &inst) const;
     bool edeIssueReady(const InflightInst &inst) const;
     bool gatesAtIssue(const InflightInst &inst) const;
@@ -367,20 +364,23 @@ class OoOCore
     Cycle fetchResumeAt_ = 0;
     SeqNum nextSeq_ = 1;
 
-    std::deque<InflightInst> rob_;
-    std::unordered_map<SeqNum, InflightInst *> index_;
-    std::vector<SeqNum> iq_;        ///< Age-ordered issue queue.
-    std::deque<SeqNum> lq_;
-    std::deque<SeqNum> sq_;
+    Rob rob_;
+    /** @name Age-ordered queues of ROB slots (squash prunes them
+     *  before it recycles the slots). */
+    /// @{
+    std::vector<InflightInst *> iq_;
+    std::vector<InflightInst *> lq_;
+    std::vector<InflightInst *> sq_;
+    /// @}
     std::unique_ptr<WriteBuffer> wb_;
 
     std::array<SeqNum, kNumArchRegs> regMap_{};
-    std::set<SeqNum> notExecuted_;
-    std::set<SeqNum> incomplete_;
-    std::set<SeqNum> incompleteStores_;
-    std::set<SeqNum> incompleteCvaps_;
-    std::set<SeqNum> incompleteDsbs_;
-    std::set<SeqNum> incompleteDmbs_;
+    SeqSet notExecuted_;
+    SeqSet incomplete_;
+    SeqSet incompleteStores_;
+    SeqSet incompleteCvaps_;
+    SeqSet incompleteDsbs_;
+    SeqSet incompleteDmbs_;
     std::vector<SeqNum> dmbSeqs_;   ///< All DMB ST seqs, ascending.
 
     Edm edm_;

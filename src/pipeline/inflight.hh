@@ -36,6 +36,9 @@ struct InflightInst
     /** @name Pipeline state. */
     /// @{
     bool inIq = false;
+    /** Every register source has executed.  Set by the issue scan;
+     *  never reverts while the entry lives (its producers are older). */
+    bool srcsExecuted = false;
     bool issued = false;
     bool executed = false;
     bool completed = false;

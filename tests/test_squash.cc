@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "common/random.hh"
+#include "exp/fields.hh"
 #include "sim_test_util.hh"
 
 namespace ede {
@@ -53,6 +56,48 @@ TEST(Squash, BackToBackMispredicts)
     sim.run(t);
     EXPECT_GE(sim.core->stats().squashes, 3u);
     EXPECT_EQ(sim.core->stats().retired, t.size());
+}
+
+TEST(Squash, GapsWiderThanTheRobKeepSeqLookupsExact)
+{
+    // An uncached NVM load holds the ROB head while 60 mispredicted
+    // branches squash and re-dispatch the work behind it.  Squashed
+    // seqs are never reused, so the live seqs come to span far more
+    // than the 16-entry ROB and two of them share a seq-index entry.
+    // The run must still match the historical core exactly, under
+    // both tickers.
+    const std::array<TickingMode, 2> modes{TickingMode::SkipAhead,
+                                           TickingMode::Reference};
+    std::array<Cycle, 2> cycles{};
+    std::array<std::string, 2> core, wb;
+    for (std::size_t m = 0; m < modes.size(); ++m) {
+        CoreParams p;
+        p.robSize = 16;
+        p.iqSize = 8;
+        p.ticking = modes[m];
+        MiniSim sim(EnforceMode::None, p);
+        Trace t;
+        TraceBuilder b(t);
+        b.ldr(1, 2, sim.nvmLine(0));
+        for (int i = 0; i < 60; ++i) {
+            b.mul(20, 20, 21);
+            b.mul(20, 20, 21);
+            b.branchCond("gap" + std::to_string(i), 20, kNoReg, false);
+        }
+        b.alu(3, 3);
+        cycles[m] = sim.run(t);
+        const CoreStats &s = sim.core->stats();
+        EXPECT_EQ(cycles[m], 1371u);
+        EXPECT_EQ(s.dispatched, 689u);
+        EXPECT_EQ(s.squashes, 60u);
+        EXPECT_EQ(s.retired, t.size());
+        EXPECT_EQ(t.size(), 182u);
+        core[m] = exp::toWire("core", s);
+        wb[m] = exp::toWire("wb", sim.core->wbStats());
+    }
+    EXPECT_EQ(cycles[0], cycles[1]);
+    EXPECT_EQ(core[0], core[1]);
+    EXPECT_EQ(wb[0], wb[1]);
 }
 
 class SquashEdeTest : public ::testing::TestWithParam<EnforceMode>
