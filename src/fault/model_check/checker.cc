@@ -1,6 +1,7 @@
 #include "fault/model_check/checker.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
@@ -31,7 +32,63 @@ applyTornEvent(MemoryImage &image, const PersistEvent &ev,
     }
 }
 
+constexpr std::size_t kLine = StateKey::kLineBytes;
+
+/** The key line holding byte @p a. */
+Addr
+lineOf(Addr a)
+{
+    return a & ~static_cast<Addr>(kLine - 1);
+}
+
+/** murmur3's 64-bit finalizer: a bijection with full avalanche. */
+std::uint64_t
+fmix64(std::uint64_t x)
+{
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdull;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ull;
+    x ^= x >> 33;
+    return x;
+}
+
+/**
+ * One line's share of a StateKey: zero for an all-zero line, else a
+ * 128-bit hash of (line address, bytes) from two differently seeded
+ * and differently combined lanes.
+ */
+StateKey
+lineTerm(Addr line, const std::uint8_t *bytes)
+{
+    std::uint64_t w[kLine / 8];
+    std::memcpy(w, bytes, kLine);
+    std::uint64_t any = 0;
+    for (std::uint64_t x : w)
+        any |= x;
+    if (!any)
+        return {};
+    std::uint64_t a = fmix64(line ^ 0x9e3779b97f4a7c15ull);
+    std::uint64_t b = fmix64(line + 0x632be59bd9b4e019ull);
+    for (std::size_t i = 0; i < kLine / 8; ++i) {
+        a = fmix64(a ^ w[i]);
+        b = fmix64(b + w[i] * 0x9fb21c651e98df25ull + i);
+    }
+    return {a, b};
+}
+
 } // namespace
+
+StateKey
+StateKey::of(const MemoryImage &img)
+{
+    StateKey key;
+    img.forEachPage([&](Addr page, std::span<const std::uint8_t> bytes) {
+        for (std::size_t off = 0; off < bytes.size(); off += kLineBytes)
+            key += lineTerm(page + off, bytes.data() + off);
+    });
+    return key;
+}
 
 PersistOrderGraph
 buildPersistOrder(const WorkloadHarness &h)
@@ -76,20 +133,25 @@ ModelCheckCounterexample::describe() const
     return os.str();
 }
 
+DurableSetChecker::StateJudge
+undoLogJudge(const WorkloadHarness &h)
+{
+    return [&h](MemoryImage &img) {
+        DurableSetChecker::StateVerdict v;
+        const RecoveryResult rec =
+            recoverUndoLog(img, h.framework().logLayout());
+        v.appOk = h.app().checkRecovered(img);
+        v.entriesTorn = rec.entriesTorn;
+        v.invariant = crashInvariantName(v.appOk, rec);
+        v.rollbackTargets = rec.appliedTargets;
+        return v;
+    };
+}
+
 DurableSetChecker::DurableSetChecker(const WorkloadHarness &h,
                                      const PersistOrderGraph &graph)
-    : DurableSetChecker(
-          h.system().persistEvents(), h.baselineNvm(), graph,
-          [&h](MemoryImage &img) {
-              StateVerdict v;
-              const RecoveryResult rec =
-                  recoverUndoLog(img, h.framework().logLayout());
-              v.appOk = h.app().checkRecovered(img);
-              v.entriesTorn = rec.entriesTorn;
-              v.invariant = crashInvariantName(v.appOk, rec);
-              v.rollbackTargets = rec.appliedTargets;
-              return v;
-          })
+    : DurableSetChecker(h.system().persistEvents(), h.baselineNvm(),
+                        graph, undoLogJudge(h))
 {
 }
 
@@ -109,6 +171,18 @@ DurableSetChecker::DurableSetChecker(
                    "running");
         setupImage_.write(ev.addr, ev.bytes.data(), ev.size);
     }
+    work_ = setupImage_;
+    workKey_ = StateKey::of(work_);
+
+    std::unordered_map<Addr, std::size_t> lines;
+    lineId_.reserve(graph_.nodes.size());
+    for (const PersistNode &node : graph_.nodes) {
+        lineId_.push_back(
+            lines.try_emplace(lineOf(node.addr), lines.size())
+                .first->second);
+    }
+    succMark_.assign(graph_.nodes.size(), 0);
+    lineMark_.assign(lines.size(), 0);
 }
 
 MemoryImage
@@ -136,27 +210,89 @@ DurableSetChecker::judge(MemoryImage &img) const
     return judge_(img);
 }
 
+void
+DurableSetChecker::apply(Step step)
+{
+    const PersistEvent &ev = events_[step.event];
+    ede_assert(ev.bytes.size() == ev.size,
+               "persist event without data; enable audit before "
+               "running");
+    step.undoMark = undo_.size();
+    applied_.push_back(step);
+
+    // Save the pre-image of every line the event covers, write it the
+    // way materialize() does, then move the key by each line's change.
+    const Addr end = ev.addr + ev.size;
+    for (Addr line = lineOf(ev.addr); line < end; line += kLine) {
+        LineUndo &u = undo_.emplace_back();
+        u.line = line;
+        work_.read(line, u.bytes.data(), kLine);
+    }
+    if (step.torn)
+        applyTornEvent(work_, ev, step.mask);
+    else
+        work_.write(ev.addr, ev.bytes.data(), ev.size);
+    for (std::size_t k = step.undoMark; k < undo_.size(); ++k) {
+        LineUndo &u = undo_[k];
+        std::array<std::uint8_t, kLine> after;
+        work_.read(u.line, after.data(), kLine);
+        u.delta = lineTerm(u.line, after.data());
+        u.delta -= lineTerm(u.line, u.bytes.data());
+        workKey_ += u.delta;
+    }
+}
+
+void
+DurableSetChecker::undoTo(std::size_t depth)
+{
+    if (depth >= applied_.size())
+        return;
+    const std::size_t mark = applied_[depth].undoMark;
+    while (undo_.size() > mark) {
+        const LineUndo &u = undo_.back();
+        work_.write(u.line, u.bytes.data(), kLine);
+        workKey_ -= u.delta;
+        undo_.pop_back();
+    }
+    applied_.resize(depth);
+}
+
 DurableSetChecker::StateVerdict
 DurableSetChecker::check(const std::vector<std::size_t> &postSetup,
                          std::size_t tornIdx, std::uint64_t tornMask)
 {
-    MemoryImage img = materialize(postSetup, tornIdx, tornMask);
-    const std::uint64_t hash = img.canonicalContentHash();
-    if (!seenHashes_.insert(hash).second) {
-        StateVerdict v;
+    auto stepAt = [&](std::size_t k) {
+        Step s;
+        s.event = postSetup[k];
+        s.torn = s.event == tornIdx;
+        s.mask = s.torn ? tornMask : 0;
+        return s;
+    };
+    std::size_t keep = 0;
+    while (keep < applied_.size() && keep < postSetup.size() &&
+           applied_[keep].same(stepAt(keep)))
+        ++keep;
+    undoTo(keep);
+    for (std::size_t k = keep; k < postSetup.size(); ++k)
+        apply(stepAt(k));
+
+    StateVerdict v;
+    if (seenKeys_.insert(workKey_).second) {
+        ++uniqueImages_;
+        MemoryImage img = work_;
+        v = judge(img);
+        if (v.invariant)
+            v.imageHash = work_.canonicalContentHash();
+    } else {
         v.duplicate = true;
-        v.imageHash = hash;
-        return v;
     }
-    ++uniqueImages_;
-    StateVerdict v = judge(img);
-    v.imageHash = hash;
+    v.key = workKey_;
     return v;
 }
 
 std::vector<std::size_t>
 DurableSetChecker::tornCandidates(
-    const std::vector<std::size_t> &postSetup, std::size_t cap) const
+    const std::vector<std::size_t> &postSetup, std::size_t cap)
 {
     std::vector<std::size_t> out;
     if (postSetup.empty() || cap == 0)
@@ -173,28 +309,29 @@ DurableSetChecker::tornCandidates(
     // before that successor's accept -- it was not the in-flight
     // write when power died.  Same for an older event of a cache
     // line the set updates again: the tear would be overwritten.
-    std::unordered_set<std::size_t> hasSucc;
-    std::unordered_map<Addr, std::size_t> lastOfLine;
-    const Addr cacheMask = ~static_cast<Addr>(63);
-    for (std::size_t i : postSetup) {
-        for (std::size_t p : graph_.nodes[i].postSetupPreds)
-            hasSucc.insert(p);
-        lastOfLine[graph_.nodes[i].addr & cacheMask] = i;
+    // Successors and later updates of a line both sit later in the
+    // ascending set, so a youngest-first walk has marked them by the
+    // time it reaches an event.
+    if (++epoch_ == 0) {
+        std::fill(succMark_.begin(), succMark_.end(), 0);
+        std::fill(lineMark_.begin(), lineMark_.end(), 0);
+        epoch_ = 1;
     }
-
     for (auto it = postSetup.rbegin();
          it != postSetup.rend() && out.size() < cap; ++it) {
         const std::size_t i = *it;
         const PersistNode &node = graph_.nodes[i];
-        if (node.size <= 8)
-            continue;  // Single chunk: nothing to tear.
-        if (hasSucc.count(i))
-            continue;
-        if (lastOfLine[node.addr & cacheMask] != i)
-            continue;
-        if (node.mediaCycle != kNoCycle && node.mediaCycle <= maxAcc)
-            continue;  // Already on media at every legal crash cycle.
-        out.push_back(i);
+        const bool lastOfLine = lineMark_[lineId_[i]] != epoch_;
+        lineMark_[lineId_[i]] = epoch_;
+        const bool onMedia =
+            node.mediaCycle != kNoCycle && node.mediaCycle <= maxAcc;
+        // Wider than one chunk (else nothing to tear), maximal, and
+        // not already on media at every legal crash cycle.
+        if (node.size > 8 && succMark_[i] != epoch_ && lastOfLine &&
+            !onMedia)
+            out.push_back(i);
+        for (std::size_t p : node.postSetupPreds)
+            succMark_[p] = epoch_;
     }
     return out;
 }

@@ -7,11 +7,11 @@
  * exhaustive counterpart: it derives the persist-ordering partial
  * order of one simulated run (persist_order.hh), enumerates *every*
  * legal durable set (enumerate.hh) with torn-persist variants at each
- * set's frontier, materializes each state through the recorded persist
- * events, deduplicates by canonical content hash, and pushes every
- * unique image through undo-log recovery and the application's
- * invariant oracle.  A violating state is shrunk to a minimal durable
- * set before being reported as a counterexample.
+ * set's frontier, reaches each state incrementally from the previous
+ * one through the recorded persist events, deduplicates by a content
+ * key, and pushes every unique image through undo-log recovery and
+ * the application's invariant oracle.  A violating state is shrunk to
+ * a minimal durable set before being reported as a counterexample.
  *
  * The checker's sensitivity is validated by a seeded bug: deleting
  * one load-bearing EDK operand from the workload's first
@@ -25,6 +25,7 @@
 #ifndef EDE_FAULT_MODEL_CHECK_CHECKER_HH
 #define EDE_FAULT_MODEL_CHECK_CHECKER_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -220,10 +221,55 @@ visitFields(auto &v, FieldsOf<ModelCheckReport> auto &r)
 ModelCheckReport runModelCheck(const ModelCheckOptions &options);
 
 /**
+ * Content key of a memory image: the sum, mod 2^128, of a 128-bit
+ * hash of (address, bytes) over every 64 B line holding a nonzero
+ * byte.  Absent and all-zero lines contribute nothing, so images equal
+ * under MemoryImage::contentEquals share a key, and a sum can be
+ * updated line by line as an image changes.
+ */
+struct StateKey
+{
+    static constexpr std::size_t kLineBytes = 64;
+
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+
+    StateKey &
+    operator+=(StateKey o)
+    {
+        lo += o.lo;
+        hi += o.hi + (lo < o.lo);
+        return *this;
+    }
+
+    StateKey &
+    operator-=(StateKey o)
+    {
+        hi -= o.hi + (lo < o.lo);
+        lo -= o.lo;
+        return *this;
+    }
+
+    bool operator==(const StateKey &) const = default;
+
+    /** Key of @p img computed from scratch over its pages. */
+    static StateKey of(const MemoryImage &img);
+};
+
+/**
  * Materializes, deduplicates and checks durable states of one
  * completed run.  Exposed so tests can drive single states (e.g. the
  * campaign-containment cross-validation re-materializes a sampled
  * crash image through the same path).
+ *
+ * check() keeps one working image, the state it checked last, and an
+ * undo stack of 64 B pre-images: it reaches the next state by undoing
+ * back to the first event where the two states differ and applying
+ * the rest, and keeps the StateKey of the working image current line
+ * by line.  The enumerator's sets differ at their ends and a torn
+ * variant differs from its set in one event, so that tail is short.
+ * materialize() and shrink() rebuild from the setup image instead and
+ * serve as the from-scratch reference.
  */
 class DurableSetChecker
 {
@@ -231,10 +277,12 @@ class DurableSetChecker
     /** Recovery + oracle verdict on one state. */
     struct StateVerdict
     {
-        bool duplicate = false;     ///< Content hash seen before.
+        bool duplicate = false;     ///< Content key seen before.
         bool appOk = true;
         std::uint64_t entriesTorn = 0;
         const char *invariant = nullptr;  ///< Violated invariant name.
+        StateKey key;               ///< Content key (check() only).
+        /** Canonical content hash; check() fills it on violations. */
         std::uint64_t imageHash = 0;
         std::vector<Addr> rollbackTargets;
     };
@@ -278,8 +326,10 @@ class DurableSetChecker
                             std::uint64_t tornMask = 0) const;
 
     /**
-     * Materialize, dedup, recover and judge one durable state.
-     * Duplicate states short-circuit (verdict.duplicate).
+     * Reach, dedup, recover and judge one durable state (the image
+     * materialize() would build).  Duplicate states short-circuit
+     * (verdict.duplicate); a new one is judged on a copy of the
+     * working image.
      */
     StateVerdict check(const std::vector<std::size_t> &postSetup,
                        std::size_t tornIdx = kNoEvent,
@@ -289,14 +339,15 @@ class DurableSetChecker
     StateVerdict judge(MemoryImage &img) const;
 
     /**
-     * Torn-variant candidates of @p postSetup: events maximal in the
-     * set, still pending at the earliest legal crash cycle, last of
-     * their cache line within the set, and wider than one 8-byte
-     * chunk.  At most @p cap, youngest first.
+     * Torn-variant candidates of @p postSetup (ascending, as
+     * enumerated): events maximal in the set, still pending at the
+     * earliest legal crash cycle, last of their cache line within the
+     * set, and wider than one 8-byte chunk.  At most @p cap, youngest
+     * first.
      */
     std::vector<std::size_t>
     tornCandidates(const std::vector<std::size_t> &postSetup,
-                   std::size_t cap) const;
+                   std::size_t cap);
 
     /**
      * Greedily remove post-setup events (youngest first, keeping
@@ -314,13 +365,71 @@ class DurableSetChecker
     std::uint64_t uniqueImages() const { return uniqueImages_; }
 
   private:
+    /** One applied event: whole, or torn to the chunks in mask. */
+    struct Step
+    {
+        std::size_t event = kNoEvent;
+        bool torn = false;
+        std::uint64_t mask = 0;    ///< 0 unless torn.
+        std::size_t undoMark = 0;  ///< undo_ size before the event.
+
+        bool
+        same(const Step &o) const
+        {
+            return event == o.event && torn == o.torn && mask == o.mask;
+        }
+    };
+
+    /** A 64 B line's bytes before one step wrote it. */
+    struct LineUndo
+    {
+        Addr line = 0;
+        StateKey delta;  ///< Key change the write made.
+        std::array<std::uint8_t, StateKey::kLineBytes> bytes{};
+    };
+
+    struct KeyHash
+    {
+        std::size_t
+        operator()(const StateKey &k) const
+        {
+            return static_cast<std::size_t>(k.lo);
+        }
+    };
+
+    void apply(Step step);
+    void undoTo(std::size_t depth);
+
     const std::vector<PersistEvent> &events_;
     const PersistOrderGraph &graph_;
     StateJudge judge_;
     MemoryImage setupImage_;  ///< Baseline + pre-setup events.
-    std::unordered_set<std::uint64_t> seenHashes_;
+
+    /** @name check()'s incremental state. */
+    /// @{
+    MemoryImage work_;            ///< setupImage_ + applied_.
+    StateKey workKey_;            ///< StateKey::of(work_).
+    std::vector<Step> applied_;   ///< The last checked state.
+    std::vector<LineUndo> undo_;  ///< Pre-images, oldest first.
+    std::unordered_set<StateKey, KeyHash> seenKeys_;
+    /// @}
+
+    /** @name tornCandidates()'s per-node marks (valid == epoch). */
+    /// @{
+    std::vector<std::size_t> lineId_;     ///< Dense 64 B line per node.
+    std::vector<std::uint32_t> succMark_; ///< Has a later successor.
+    std::vector<std::uint32_t> lineMark_; ///< Line seen later in set.
+    std::uint32_t epoch_ = 0;
+    /// @}
+
     std::uint64_t uniqueImages_ = 0;
 };
+
+/**
+ * The one-core judge: undo-log recovery, then the application's
+ * checkRecovered oracle.  @p h must outlive the judge.
+ */
+DurableSetChecker::StateJudge undoLogJudge(const WorkloadHarness &h);
 
 /**
  * The durable-set check loop of both checkers: enumerate every legal

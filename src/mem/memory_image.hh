@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -58,6 +59,18 @@ class MemoryImage
 
     /** Number of pages materialized (for tests). */
     std::size_t pageCount() const { return pages_.size(); }
+
+    /**
+     * Call @p fn(pageAddr, bytes) for every materialized page, in no
+     * particular order; bytes spans the whole page.
+     */
+    template <typename Fn>
+    void
+    forEachPage(Fn &&fn) const
+    {
+        for (const auto &[addr, page] : pages_)
+            fn(addr, std::span<const std::uint8_t>(page));
+    }
 
     /**
      * Canonical content hash: equal for images with identical byte

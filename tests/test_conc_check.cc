@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/conc_harness.hh"
+#include "checker_reference.hh"
 #include "fault/conc_campaign.hh"
 #include "fault/conc_check.hh"
 #include "fault/crash_image.hh"
@@ -189,6 +190,18 @@ TEST(ConcOrder, RemotePersistsOutstandingAtCrashPoints)
     EXPECT_GT(remoteWindows, 0u);
 }
 
+/** The kernel-oracle judge checkConcConfig uses. */
+DurableSetChecker::StateJudge
+concJudge(const ConcModel &model)
+{
+    return [&model](MemoryImage &img) {
+        DurableSetChecker::StateVerdict v;
+        v.invariant = checkConcInvariants(model, img);
+        v.appOk = v.invariant == nullptr;
+        return v;
+    };
+}
+
 /* ------------------------------------------------------------------ */
 /* Campaign cross-validation: containment and re-materialization.      */
 /* ------------------------------------------------------------------ */
@@ -198,15 +211,9 @@ TEST(ConcCheck, CampaignImagesLieInsideTheJointLattice)
     for (Config cfg : {Config::B, Config::IQ, Config::WB}) {
         auto h = concRun(ConcApp::MsQueue, cfg, 2, 4, 42);
         const PersistOrderGraph graph = buildConcPersistOrder(*h);
-        const ConcModel &model = h->model();
-        const DurableSetChecker checker(
-            h->system().persistEvents(), h->baselineNvm(), graph,
-            [&model](MemoryImage &img) {
-                DurableSetChecker::StateVerdict v;
-                v.invariant = checkConcInvariants(model, img);
-                v.appOk = v.invariant == nullptr;
-                return v;
-            });
+        const DurableSetChecker checker(h->system().persistEvents(),
+                                        h->baselineNvm(), graph,
+                                        concJudge(h->model()));
         const auto &events = h->system().persistEvents();
         const auto &media = h->system().mediaWriteEvents();
         ASSERT_FALSE(events.empty());
@@ -263,6 +270,31 @@ TEST(ConcCheck, CampaignImagesLieInsideTheJointLattice)
             }
         }
         EXPECT_GT(checkedImages, 100u) << configName(cfg);
+    }
+}
+
+TEST(ConcCheck, IncrementalCheckMatchesReference)
+{
+    // The gate lattice below, every durable set and torn variant: the
+    // incremental check() and the flat tornCandidates() against their
+    // from-scratch references (checker_reference.hh), in the loop's
+    // order and shuffled.
+    for (Config cfg : {Config::B, Config::IQ, Config::WB}) {
+        auto h = concRun(ConcApp::RwLock, cfg, 2, 4, 57);
+        const PersistOrderGraph graph = buildConcPersistOrder(*h);
+        const DurableSetChecker::StateJudge judge = concJudge(h->model());
+        const auto &events = h->system().persistEvents();
+        DurableSetChecker checker(events, h->baselineNvm(), graph, judge);
+        const std::string label = "rwlock/" + std::string(configName(cfg));
+
+        checker_reference::expectFlatTornCandidates(graph, checker, label);
+        const auto states = checker_reference::latticeStates(graph, checker);
+        checker_reference::expectIncrementalMatchesReference(
+            events, h->baselineNvm(), graph, judge, states, label);
+        checker_reference::expectIncrementalMatchesReference(
+            events, h->baselineNvm(), graph, judge,
+            checker_reference::shuffledStates(graph, states, label),
+            label + " shuffled");
     }
 }
 
@@ -440,14 +472,9 @@ TEST(ConcOracle, ReceiptDemandsDataAtLeastAsDurable)
     auto h = concRun(ConcApp::RwLock, Config::IQ, 2, 4, 57);
     const PersistOrderGraph graph = buildConcPersistOrder(*h);
     const ConcModel &model = h->model();
-    const DurableSetChecker checker(
-        h->system().persistEvents(), h->baselineNvm(), graph,
-        [&model](MemoryImage &img) {
-            DurableSetChecker::StateVerdict v;
-            v.invariant = checkConcInvariants(model, img);
-            v.appOk = v.invariant == nullptr;
-            return v;
-        });
+    const DurableSetChecker checker(h->system().persistEvents(),
+                                    h->baselineNvm(), graph,
+                                    concJudge(model));
 
     std::vector<std::size_t> all;
     for (std::size_t i = 0; i < graph.nodes.size(); ++i)
