@@ -6,6 +6,14 @@
 
 namespace ede {
 
+void
+MemSink::replayRefused(const MemReq &req, std::uint64_t n)
+{
+    (void)n;
+    ede_panic("replayed refusals of 0x", std::hex, req.addr,
+              " at a sink that never defers an accept");
+}
+
 Cache::Cache(CacheParams params, MemSink *below)
     : params_(std::move(params)), below_(below)
 {
@@ -321,18 +329,30 @@ Cache::idle() const
     return true;
 }
 
+void
+Cache::replaySkipped(std::uint64_t n)
+{
+    if (!retryQ_.empty())
+        below_->replayRefused(retryQ_.front(), n);
+}
+
 Cycle
 Cache::nextEventCycle(Cycle now) const
 {
-    // Queued input and refused-retry work is reattempted every cycle,
-    // and each attempt may mutate state below (including any
-    // fault-injection hook's), so a tick with either queue non-empty
-    // must actually execute.
-    if (!inputQ_.empty() || !retryQ_.empty())
+    // Queued input is processed every cycle and may interact with
+    // MSHRs and the levels below, so a tick with any must execute.
+    if (!inputQ_.empty())
         return now;
+    // The retry loop stops at a refused head, so the head's accept
+    // cycle is the retry queue's event.  The level below answers now
+    // unless every attempt before its answer is refused and only
+    // bumps counters it can replay (MemSink::acceptCycle).
+    Cycle next = kNoCycle;
+    if (!retryQ_.empty())
+        next = std::max(now, below_->acceptCycle(retryQ_.front(), now));
     if (!respQ_.empty())
-        return std::max(now, respQ_.top().due);
-    return kNoCycle;
+        next = std::min(next, std::max(now, respQ_.top().due));
+    return next;
 }
 
 } // namespace ede

@@ -40,6 +40,29 @@ class MemSink
      * it this cycle (queue or MSHRs full) and the caller must retry.
      */
     virtual bool tryAccept(const MemReq &req, Cycle now) = 0;
+
+    /**
+     * Skip-ahead hint: the earliest cycle >= @p now at which
+     * tryAccept(@p req) can succeed if nothing else reaches this sink
+     * first.  The default, @p now, keeps a refused caller retrying
+     * every cycle.  A sink that answers later promises that each
+     * attempt before that cycle would be refused the same way, and
+     * must replay those refusals in replayRefused() (DESIGN.md
+     * section 10).
+     */
+    virtual Cycle
+    acceptCycle(const MemReq &req, Cycle now) const
+    {
+        (void)req;
+        return now;
+    }
+
+    /**
+     * Count @p n refusals of @p req that skipped cycles would have
+     * made.  Only a sink whose acceptCycle() can lie past now is ever
+     * asked; the default panics.
+     */
+    virtual void replayRefused(const MemReq &req, std::uint64_t n);
 };
 
 /** Upward response callback. */
@@ -132,11 +155,18 @@ class Cache : public MemSink
     bool idle() const;
 
     /**
+     * Replay @p n skipped cycles: each would have retried the head of
+     * the retry queue and been refused (see MemSink::acceptCycle).
+     */
+    void replaySkipped(std::uint64_t n);
+
+    /**
      * Skip-ahead hint: the earliest cycle >= @p now at which tick()
      * might change any state (deliver a response, retry a refused
-     * request, process queued input).  kNoCycle when this cache is
-     * guaranteed inert until new work arrives from outside.  Hints
-     * may be conservatively early, never late (DESIGN.md section 10).
+     * request the level below may accept, process queued input).
+     * kNoCycle when this cache is guaranteed inert until new work
+     * arrives from outside.  Hints may be conservatively early, never
+     * late (DESIGN.md section 10).
      */
     Cycle nextEventCycle(Cycle now) const;
 

@@ -58,6 +58,23 @@ MemController::tryAccept(const MemReq &req, Cycle now)
     return dram_.tryAccept(req, now);
 }
 
+Cycle
+MemController::acceptCycle(const MemReq &req, Cycle now) const
+{
+    if (map_.isNvm(req.addr) && retryQ_.empty())
+        return nvm_.acceptCycle(req, now);
+    return now;
+}
+
+void
+MemController::replayRefused(const MemReq &req, std::uint64_t n)
+{
+    ede_assert(map_.isNvm(req.addr) && retryQ_.empty(),
+               "replayed refusals of 0x", std::hex, req.addr,
+               " that the NVM does not defer");
+    nvm_.replayRefused(req, n);
+}
+
 void
 MemController::drainRetries(Cycle now)
 {

@@ -39,6 +39,15 @@ class MemController : public MemSink
 
     bool tryAccept(const MemReq &req, Cycle now) override;
 
+    /**
+     * The NVM's accept cycle for an NVM request while the
+     * transient-retry queue is empty (a non-empty one takes or bounces
+     * write-class requests on its own terms); @p now otherwise.
+     */
+    Cycle acceptCycle(const MemReq &req, Cycle now) const override;
+
+    void replayRefused(const MemReq &req, std::uint64_t n) override;
+
     /** Install the callback receiving responses (to the LLC). */
     void setRespFn(RespFn fn) { respond_ = std::move(fn); }
 

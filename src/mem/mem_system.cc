@@ -138,6 +138,17 @@ MemSystem::tick(Cycle now)
         l1->tick(now);
 }
 
+void
+MemSystem::replaySkipped(std::uint64_t n)
+{
+    // A skip window holds only deferred retries: a cache with queued
+    // input, or a retry its sink did not defer, hints now.
+    l3_->replaySkipped(n);
+    l2_->replaySkipped(n);
+    for (auto &l1 : l1ds_)
+        l1->replaySkipped(n);
+}
+
 bool
 MemSystem::idle() const
 {

@@ -121,6 +121,13 @@ class MemSystem
      */
     Cycle nextEventCycle(Cycle now) const;
 
+    /**
+     * Replay @p n skipped cycles: every cache retry whose sink deferred
+     * it (MemSink::acceptCycle) counts its refusals there.  Call once
+     * per jump of the whole machine.
+     */
+    void replaySkipped(std::uint64_t n);
+
     /** Unconsumed completions (skip-ahead safety check). */
     bool hasPendingDone() const { return !done_.empty(); }
 

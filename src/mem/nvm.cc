@@ -15,12 +15,12 @@ NvmDevice::NvmDevice(NvmParams params)
     readPortFree_.assign(params_.mediaReaders, 0);
 }
 
-NvmDevice::Slot *
-NvmDevice::findSlot(Addr line_addr)
+const NvmDevice::Slot *
+NvmDevice::findSlot(Addr line_addr) const
 {
-    if (filterCount(line_addr) == 0)
+    if (lineFilter_[filterBucket(line_addr)] == 0)
         return nullptr;
-    for (Slot &s : slots_) {
+    for (const Slot &s : slots_) {
         if (s.lineAddr == line_addr)
             return &s;
     }
@@ -174,6 +174,37 @@ NvmDevice::tick(Cycle now, std::vector<MemResp> &out)
 }
 
 bool
+NvmDevice::refusesUntilDone(const MemReq &req) const
+{
+    // A full buffer refuses a new line until a media write in flight
+    // frees its slot at nextDone_; nothing else can free one.  A fault
+    // hook may answer any attempt differently, so it keeps every
+    // attempt.  So does a queued read: the read hint in
+    // nextEventCycle can be late, and a skip right after the retry
+    // window could cross it where per-cycle retries, still in the run
+    // loop's failed-attempt backoff, did not.
+    const bool write = req.kind == ReqKind::Writeback ||
+                       req.kind == ReqKind::Clean;
+    return write && slots_.size() >= params_.bufferSlots &&
+           writing_ > 0 && !acceptFault_ && readQ_.empty() &&
+           !findSlot(mediaLine(req.addr));
+}
+
+Cycle
+NvmDevice::acceptCycle(const MemReq &req, Cycle now) const
+{
+    return refusesUntilDone(req) ? std::max(now, nextDone_) : now;
+}
+
+void
+NvmDevice::replayRefused(const MemReq &req, std::uint64_t n)
+{
+    ede_assert(refusesUntilDone(req), "replayed refusals of 0x",
+               std::hex, req.addr, " that the buffer would accept");
+    stats_.bufferFullRejects += n;
+}
+
+bool
 NvmDevice::idle() const
 {
     return slots_.empty() && readQ_.empty() && completions_.empty();
@@ -186,9 +217,14 @@ NvmDevice::nextEventCycle(Cycle now) const
     if (!completions_.empty())
         next = std::min(next, std::max(now, completions_.top().due));
     if (!readQ_.empty()) {
-        // The queue head waits for a media read port; a buffer hit
-        // can only appear through a new write accept, which is core
-        // activity that ends any skip window on its own.
+        // The queue head waits for a media read port.  This hint is
+        // late once the head's line enters the buffer: tick() then
+        // serves the read at once, without a port.  That takes a
+        // write accept, but not necessarily core activity -- an L3
+        // retry taken when a media write frees a slot is none -- so a
+        // skip after such a tick can jump past the read.  This is the
+        // N-core ticker divergence of ROADMAP item 5; its fix changes
+        // skip-ahead results, so it waits for a benchmark change.
         const Cycle port = *std::min_element(readPortFree_.begin(),
                                              readPortFree_.end());
         next = std::min(next, std::max(now, port));

@@ -23,6 +23,7 @@
 #include <deque>
 #include <functional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/fields.hh"
@@ -147,6 +148,19 @@ class NvmDevice
      */
     Cycle nextEventCycle(Cycle now) const;
 
+    /**
+     * Earliest cycle >= @p now at which tryAccept(@p req) can succeed
+     * if no other request arrives first: the next media-write
+     * completion while refusesUntilDone(@p req), else @p now.
+     */
+    Cycle acceptCycle(const MemReq &req, Cycle now) const;
+
+    /**
+     * Count @p n buffer-full refusals of @p req that skipped cycles
+     * would have made; asserts the buffer still refuses it.
+     */
+    void replayRefused(const MemReq &req, std::uint64_t n);
+
     /** Current number of pending writes in the on-DIMM buffer. */
     std::size_t bufferOccupancy() const { return slots_.size(); }
 
@@ -229,8 +243,19 @@ class NvmDevice
         return a & ~static_cast<Addr>(params_.lineBytes - 1);
     }
 
-    Slot *findSlot(Addr line_addr);
+    const Slot *findSlot(Addr line_addr) const;
+    Slot *
+    findSlot(Addr line_addr)
+    {
+        return const_cast<Slot *>(std::as_const(*this).findSlot(line_addr));
+    }
     bool acceptWrite(const MemReq &req, Cycle now, bool is_clean);
+
+    /**
+     * True when every tryAccept(@p req) before nextDone_ is refused
+     * for a full buffer and changes nothing but bufferFullRejects.
+     */
+    bool refusesUntilDone(const MemReq &req) const;
 
     /** Recompute nextDone_ from the writing slots. */
     void rescanNextDone();
@@ -240,12 +265,18 @@ class NvmDevice
      * of the line number, so power-of-two strides (per-core arenas,
      * stream regions) spread over the table instead of colliding.
      */
-    std::uint32_t &
-    filterCount(Addr line_addr)
+    std::size_t
+    filterBucket(Addr line_addr) const
     {
         const std::uint64_t h =
             (line_addr >> lineShift_) * 0x9e3779b97f4a7c15ull;
-        return lineFilter_[h >> (64 - kLineFilterBits)];
+        return h >> (64 - kLineFilterBits);
+    }
+
+    std::uint32_t &
+    filterCount(Addr line_addr)
+    {
+        return lineFilter_[filterBucket(line_addr)];
     }
 
     NvmParams params_;

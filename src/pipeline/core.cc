@@ -1154,6 +1154,21 @@ OoOCore::skipTarget(Cycle now) const
 }
 
 void
+OoOCore::replayDeadTicks(const StallSnapshot &pre, Cycle skipped)
+{
+    stats_.dispatchStallRob += (stats_.dispatchStallRob - pre.rob) * skipped;
+    stats_.dispatchStallIq += (stats_.dispatchStallIq - pre.iq) * skipped;
+    stats_.dispatchStallLsq += (stats_.dispatchStallLsq - pre.lsq) * skipped;
+    stats_.retireStallWbFull +=
+        (stats_.retireStallWbFull - pre.wbFull) * skipped;
+    const WriteBufferStats &wb = wb_->stats();
+    wb_->replayGateStalls((wb.srcIdGated - pre.wb.srcIdGated) * skipped,
+                          (wb.lineGated - pre.wb.lineGated) * skipped,
+                          (wb.dmbGated - pre.wb.dmbGated) * skipped);
+    stats_.issueHist.sample(0, skipped); // issue() saw 0 each tick.
+}
+
+void
 OoOCore::beginRun(const Trace &trace)
 {
     ede_assert(!ran_, "OoOCore::run is single-shot; build a new core");
@@ -1182,26 +1197,14 @@ OoOCore::run(const Trace &trace)
     Cycle nextAttempt = 0;
     Cycle backoff = 1;
     while (!finished()) {
-        progress_ = false;
-        // Snapshot the dead-tick counter set: when the tick below
-        // makes no progress, these are the only statistics it may
-        // have bumped, and every skipped cycle would bump them by
-        // exactly the same amounts.
-        const std::uint64_t pre_rob = stats_.dispatchStallRob;
-        const std::uint64_t pre_iq = stats_.dispatchStallIq;
-        const std::uint64_t pre_lsq = stats_.dispatchStallLsq;
-        const std::uint64_t pre_wbfull = stats_.retireStallWbFull;
-        const WriteBufferStats pre_wb = wb_->stats();
-
+        const StallSnapshot pre = beginTick();
         tickOnce(now, sampler.tick());
         ++now;
         if (profile_)
             ++profile_->hostTicks;
         if (runChecks(now))
             break;
-        if (!skip || progress_ ||
-            wb_->stats().pushes != pre_wb.pushes ||
-            wb_->stats().memRejected != pre_wb.memRejected) {
+        if (!skip || progressedSince(pre)) {
             nextAttempt = 0;
             backoff = 1;
             continue;
@@ -1212,8 +1215,9 @@ OoOCore::run(const Trace &trace)
         // Dead tick: nothing dispatched, issued, executed, completed
         // or retired, and the write buffer started nothing.  Every
         // cycle until the earliest advertised event is an identical
-        // no-op -- jump there, replaying the stall counters the
-        // skipped ticks would have accumulated.
+        // no-op -- jump there, replaying the stall counters and the
+        // refused memory retries the skipped ticks would have
+        // accumulated.
         Cycle target;
         {
             PhaseTimer timer(profile_, &HostProfile::skipNanos);
@@ -1229,19 +1233,8 @@ OoOCore::run(const Trace &trace)
         nextAttempt = 0;
         backoff = 1;
         const Cycle skipped = target - now;
-        stats_.dispatchStallRob +=
-            (stats_.dispatchStallRob - pre_rob) * skipped;
-        stats_.dispatchStallIq +=
-            (stats_.dispatchStallIq - pre_iq) * skipped;
-        stats_.dispatchStallLsq +=
-            (stats_.dispatchStallLsq - pre_lsq) * skipped;
-        stats_.retireStallWbFull +=
-            (stats_.retireStallWbFull - pre_wbfull) * skipped;
-        wb_->replayGateStalls(
-            (wb_->stats().srcIdGated - pre_wb.srcIdGated) * skipped,
-            (wb_->stats().lineGated - pre_wb.lineGated) * skipped,
-            (wb_->stats().dmbGated - pre_wb.dmbGated) * skipped);
-        stats_.issueHist.sample(0, skipped); // issue() saw 0 each tick.
+        replayDeadTicks(pre, skipped);
+        mem_.replaySkipped(skipped);
         now = target;
         if (profile_) {
             ++profile_->skipJumps;

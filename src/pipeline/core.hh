@@ -295,6 +295,48 @@ class OoOCore
      */
     Cycle skipTarget(Cycle now) const;
 
+    /**
+     * @name Dead-tick replay, shared by both run loops.
+     *
+     * A tick without progress may bump only the stall counters below,
+     * and every skipped cycle would bump them by the same amounts, so
+     * a jump replays the delta of the last dead tick once per skipped
+     * cycle.  The shared hierarchy's refused retries are replayed
+     * separately, once per machine (MemSystem::replaySkipped).
+     */
+    /// @{
+    struct StallSnapshot
+    {
+        std::uint64_t rob = 0;
+        std::uint64_t iq = 0;
+        std::uint64_t lsq = 0;
+        std::uint64_t wbFull = 0;
+        WriteBufferStats wb;
+    };
+
+    /** Clear the progress flag and snapshot the counters for a tick. */
+    StallSnapshot
+    beginTick()
+    {
+        progress_ = false;
+        return StallSnapshot{stats_.dispatchStallRob,
+                             stats_.dispatchStallIq,
+                             stats_.dispatchStallLsq,
+                             stats_.retireStallWbFull, wb_->stats()};
+    }
+
+    /** True when the tick since @p pre progressed (or the WB acted). */
+    bool
+    progressedSince(const StallSnapshot &pre) const
+    {
+        return progress_ || wb_->stats().pushes != pre.wb.pushes ||
+               wb_->stats().memRejected != pre.wb.memRejected;
+    }
+
+    /** Replay @p skipped copies of the dead tick since @p pre. */
+    void replayDeadTicks(const StallSnapshot &pre, Cycle skipped);
+    /// @}
+
     void pollLoads(Cycle now);
     void execWriteback(Cycle now);
     void checkDsbCompletion(Cycle now);

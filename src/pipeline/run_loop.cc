@@ -35,17 +35,8 @@ CoreGroup::run(const std::vector<const Trace *> &traces)
 
     const std::size_t n = cores_.size();
 
-    // Dead-tick counter snapshots, one per core (see OoOCore::run for
-    // the single-core original of this machinery).
-    struct Snap
-    {
-        std::uint64_t rob = 0;
-        std::uint64_t iq = 0;
-        std::uint64_t lsq = 0;
-        std::uint64_t wbfull = 0;
-        WriteBufferStats wb;
-    };
-    std::vector<Snap> pre(n);
+    // Dead-tick counter snapshots, one per core.
+    std::vector<OoOCore::StallSnapshot> pre(n);
 
     std::vector<bool> running(n, true);
     std::size_t live = n;
@@ -72,15 +63,8 @@ CoreGroup::run(const std::vector<const Trace *> &traces)
 
     while (live > 0) {
         for (std::size_t i = 0; i < n; ++i) {
-            if (!running[i])
-                continue;
-            OoOCore &c = *cores_[i];
-            c.progress_ = false;
-            pre[i] = Snap{c.stats_.dispatchStallRob,
-                          c.stats_.dispatchStallIq,
-                          c.stats_.dispatchStallLsq,
-                          c.stats_.retireStallWbFull,
-                          c.wb_->stats()};
+            if (running[i])
+                pre[i] = cores_[i]->beginTick();
         }
 
         // The shared hierarchy ticks exactly once per cycle; each
@@ -117,12 +101,7 @@ CoreGroup::run(const std::vector<const Trace *> &traces)
         // the remote core completes something, which is progress.
         bool progressed = false;
         for (std::size_t i = 0; i < n; ++i) {
-            if (!running[i])
-                continue;
-            const OoOCore &c = *cores_[i];
-            if (c.progress_ ||
-                c.wb_->stats().pushes != pre[i].wb.pushes ||
-                c.wb_->stats().memRejected != pre[i].wb.memRejected)
+            if (running[i] && cores_[i]->progressedSince(pre[i]))
                 progressed = true;
         }
 
@@ -168,26 +147,11 @@ CoreGroup::run(const std::vector<const Trace *> &traces)
         backoff = 1;
         const Cycle skipped = target - now;
         for (std::size_t i = 0; i < n; ++i) {
-            if (!running[i])
-                continue;
-            OoOCore &c = *cores_[i];
-            c.stats_.dispatchStallRob +=
-                (c.stats_.dispatchStallRob - pre[i].rob) * skipped;
-            c.stats_.dispatchStallIq +=
-                (c.stats_.dispatchStallIq - pre[i].iq) * skipped;
-            c.stats_.dispatchStallLsq +=
-                (c.stats_.dispatchStallLsq - pre[i].lsq) * skipped;
-            c.stats_.retireStallWbFull +=
-                (c.stats_.retireStallWbFull - pre[i].wbfull) * skipped;
-            c.wb_->replayGateStalls(
-                (c.wb_->stats().srcIdGated - pre[i].wb.srcIdGated) *
-                    skipped,
-                (c.wb_->stats().lineGated - pre[i].wb.lineGated) *
-                    skipped,
-                (c.wb_->stats().dmbGated - pre[i].wb.dmbGated) *
-                    skipped);
-            c.stats_.issueHist.sample(0, skipped);
+            if (running[i])
+                cores_[i]->replayDeadTicks(pre[i], skipped);
         }
+        // The hierarchy is shared: its refusals replay once.
+        mem.replaySkipped(skipped);
         now = target;
         if (prof) {
             ++prof->skipJumps;

@@ -9,15 +9,16 @@
  * earliest of every unfinished core's advertised events -- so a
  * cross-core WAIT release (which always rides on some core's
  * completion, i.e. on progress) can never be jumped over.  Each
- * core's dead-tick stall counters are replayed individually, exactly
- * as the single-core loop replays its own.
+ * core's dead-tick stall counters are replayed individually through
+ * the helper the single-core loop uses, and the shared hierarchy's
+ * refused retries once per jump.
  *
  * A group of one core reproduces OoOCore::run(trace) bit-identically:
  * the loop body is the same sequence of calls on the same state, and
  * the differential gate in bench/fig_scaling holds the two paths
  * against each other.  OoOCore::run keeps its own copy of the
- * single-core loop precisely so that gate compares two independent
- * implementations.
+ * single-core loop, sharing only the dead-tick snapshot and replay
+ * helpers, so that gate compares two loop implementations.
  */
 
 #ifndef EDE_PIPELINE_RUN_LOOP_HH

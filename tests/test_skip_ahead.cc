@@ -2,13 +2,14 @@
  * @file
  * Differential validation of the skip-ahead scheduler.
  *
- * The skip-ahead loop in OoOCore::run jumps dead windows using
- * component next-event hints; the reference loop ticks every cycle.
- * The contract is bit-identical *simulated* results: the same cycle
- * counts, the same CoreStats (including replayed dead-tick stall
- * counters), the same write-buffer/NVM statistics, and the same
- * persist order -- for every Table III configuration.  Only the host
- * profile (wall time, tick counts, skip counters) may differ.
+ * The skip-ahead loops (CoreGroup::run and the legacy OoOCore::run)
+ * jump dead windows using component next-event hints; the reference
+ * loop ticks every cycle.  The contract is bit-identical *simulated*
+ * results: the whole RunResult in the wire form the result cache
+ * stores (every core, cache, DRAM, NVM and coherence counter,
+ * replayed dead-tick stalls and refused retries included) and the
+ * same persist order -- for every Table III configuration.  Only the
+ * host profile (wall time, tick counts, skip counters) may differ.
  *
  * These tests pin the ticking mode through SimConfig/CoreParams
  * rather than the EDE_REFERENCE_TICKING environment variable, which
@@ -18,7 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+
 #include "apps/harness.hh"
+#include "exp/fields.hh"
 #include "pipeline/run_loop.hh"
 #include "sim_test_util.hh"
 
@@ -35,12 +41,28 @@ struct RunSnapshot
     HostProfile profile;
 };
 
+/**
+ * Table I with a 4-slot WPQ drained by one media writer: the buffer
+ * stays full and the L3 retries refused writebacks and cleans for
+ * most of a run.
+ */
+MemSystemParams
+tinyWpq()
+{
+    MemSystemParams m;
+    m.nvm.bufferSlots = 4;
+    m.nvm.mediaWriters = 1;
+    return m;
+}
+
 RunSnapshot
-runWorkload(AppId app, Config cfg, TickingMode mode)
+runWorkload(AppId app, Config cfg, TickingMode mode,
+            const MemSystemParams &mem = {})
 {
     const RunSpec spec{6, 6, 42};
     SimParams params = makeParams(cfg);
     params.core.ticking = mode;
+    params.mem = mem;
     WorkloadHarness h(app, cfg, spec, AppParams{}, params);
     h.generate();
     h.simulate();
@@ -53,52 +75,30 @@ runWorkload(AppId app, Config cfg, TickingMode mode)
     return snap;
 }
 
+/**
+ * Equal wire forms -- every counter, distribution and per-core record
+ * the result cache would store -- reporting where they first differ.
+ */
 void
-expectSameCoreStats(const CoreStats &a, const CoreStats &b)
+expectSameWire(const std::string &ref, const std::string &skip)
 {
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.retired, b.retired);
-    EXPECT_EQ(a.dispatched, b.dispatched);
-    EXPECT_EQ(a.issuedOps, b.issuedOps);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.mispredicts, b.mispredicts);
-    EXPECT_EQ(a.squashes, b.squashes);
-    EXPECT_EQ(a.squashedInsts, b.squashedInsts);
-    EXPECT_EQ(a.loadsForwarded, b.loadsForwarded);
-    EXPECT_EQ(a.retireStallWbFull, b.retireStallWbFull);
-    EXPECT_EQ(a.dispatchStallRob, b.dispatchStallRob);
-    EXPECT_EQ(a.dispatchStallIq, b.dispatchStallIq);
-    EXPECT_EQ(a.dispatchStallLsq, b.dispatchStallLsq);
-    EXPECT_EQ(a.edkStallChecks, b.edkStallChecks);
-    EXPECT_EQ(a.edkExternalStalls, b.edkExternalStalls);
-    EXPECT_EQ(a.edkStuckDetected, b.edkStuckDetected);
-    EXPECT_EQ(a.edkFencesSynthesized, b.edkFencesSynthesized);
-    ASSERT_EQ(a.issueHist.size(), b.issueHist.size());
-    for (std::size_t i = 0; i < a.issueHist.size(); ++i)
-        EXPECT_EQ(a.issueHist.count(i), b.issueHist.count(i)) << i;
-    EXPECT_EQ(a.issueHist.saturated(), b.issueHist.saturated());
+    if (ref == skip)
+        return;
+    const std::size_t at = static_cast<std::size_t>(
+        std::mismatch(ref.begin(), ref.end(), skip.begin(), skip.end())
+            .first - ref.begin());
+    const std::size_t from = at < 80 ? 0 : at - 80;
+    ADD_FAILURE() << "wire forms differ at offset " << at
+                  << "\n  reference:  ..." << ref.substr(from, 120)
+                  << "\n  skip-ahead: ..." << skip.substr(from, 120);
 }
 
 void
 expectSameSnapshot(const RunSnapshot &ref, const RunSnapshot &skip)
 {
-    EXPECT_EQ(ref.result.cycles, skip.result.cycles);
+    expectSameWire(exp::toWire("run", ref.result),
+                   exp::toWire("run", skip.result));
     EXPECT_EQ(ref.opCycles, skip.opCycles);
-    expectSameCoreStats(ref.result.core, skip.result.core);
-
-    EXPECT_EQ(ref.result.wb.inserted, skip.result.wb.inserted);
-    EXPECT_EQ(ref.result.wb.pushes, skip.result.wb.pushes);
-    EXPECT_EQ(ref.result.wb.srcIdGated, skip.result.wb.srcIdGated);
-    EXPECT_EQ(ref.result.wb.lineGated, skip.result.wb.lineGated);
-    EXPECT_EQ(ref.result.wb.dmbGated, skip.result.wb.dmbGated);
-    EXPECT_EQ(ref.result.wb.memRejected, skip.result.wb.memRejected);
-
-    EXPECT_EQ(ref.result.nvm.writesAccepted,
-              skip.result.nvm.writesAccepted);
-    EXPECT_EQ(ref.result.nvm.mediaWrites, skip.result.nvm.mediaWrites);
-    EXPECT_EQ(ref.result.nvm.reads, skip.result.nvm.reads);
-    EXPECT_EQ(ref.result.l1d.misses, skip.result.l1d.misses);
-    EXPECT_EQ(ref.result.dram.reads, skip.result.dram.reads);
 
     // Persist order is the crash-consistency ground truth; the fault
     // campaign's crash-point classification follows from it and the
@@ -143,6 +143,34 @@ TEST_P(SkipAheadDifferential, SwapWorkloadIsBitIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, SkipAheadDifferential,
+    ::testing::ValuesIn(kAllConfigs.begin(), kAllConfigs.end()),
+    [](const ::testing::TestParamInfo<Config> &info) {
+        return std::string(configName(info.param));
+    });
+
+class FullWpqDifferential : public ::testing::TestWithParam<Config>
+{
+};
+
+TEST_P(FullWpqDifferential, RetryWindowsAreSkippedAndReplayed)
+{
+    // A retry the full WPQ refuses waits for the next media-write
+    // completion; skip-ahead jumps that window and replays its
+    // refusals, so nvm.buffer_full_rejects is in the compared wire.
+    for (const AppId app : {AppId::Update, AppId::Swap, AppId::Btree}) {
+        SCOPED_TRACE(appName(app));
+        const RunSnapshot ref = runWorkload(
+            app, GetParam(), TickingMode::Reference, tinyWpq());
+        const RunSnapshot skip = runWorkload(
+            app, GetParam(), TickingMode::SkipAhead, tinyWpq());
+        expectSameSnapshot(ref, skip);
+        EXPECT_GT(skip.result.nvm.bufferFullRejects, 0u);
+        EXPECT_LT(skip.profile.hostTicks * 4, ref.profile.hostTicks);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigs, FullWpqDifferential,
     ::testing::ValuesIn(kAllConfigs.begin(), kAllConfigs.end()),
     [](const ::testing::TestParamInfo<Config> &info) {
         return std::string(configName(info.param));
@@ -293,6 +321,91 @@ TEST(SkipAhead, WaitAllKeysWakesAtTheSameCycle)
     ASSERT_EQ(done[0].size(), done[1].size());
     for (std::size_t i = 0; i < done[0].size(); ++i)
         EXPECT_EQ(done[0][i], done[1][i]) << "trace index " << i;
+}
+
+const std::array<TickingMode, 2> kModes{TickingMode::Reference,
+                                        TickingMode::SkipAhead};
+
+/** A raw core's run, the hierarchy's counters included, as wire. */
+std::string
+machineWire(const OoOCore &core, const MemSystem &mem)
+{
+    const NvmDevice &nvm = mem.controller().nvm();
+    return exp::toWire("core", core.stats()) +
+           exp::toWire("wb", core.wbStats()) +
+           exp::toWire("nvm", nvm.stats()) +
+           exp::toWire("occupancy", nvm.occupancyDist()) +
+           exp::toWire("l1d", mem.l1d().stats()) +
+           exp::toWire("l2", mem.l2().stats()) +
+           exp::toWire("l3", mem.l3().stats()) +
+           exp::toWire("dram", mem.controller().dram().stats());
+}
+
+TEST(SkipAhead, LegacyLoopReplaysFullWpqRetries)
+{
+    // OoOCore::run, the raw single-core loop, keeps the 4-slot WPQ
+    // full with fenced cleans.
+    const Trace t = persistLoop(160, nvmRegion(0));
+    std::array<std::string, 2> wire;
+    std::array<std::uint64_t, 2> ticks{};
+    for (std::size_t m = 0; m < kModes.size(); ++m) {
+        HostProfile prof;
+        MemSystem mem(tinyWpq());
+        OoOCore core(pinned(kModes[m]), mem);
+        core.setProfile(&prof);
+        core.run(t);
+        ASSERT_FALSE(core.simError());
+        EXPECT_GT(mem.controller().nvm().stats().bufferFullRejects, 0u);
+        wire[m] = machineWire(core, mem);
+        ticks[m] = prof.hostTicks;
+    }
+    expectSameWire(wire[0], wire[1]);
+    EXPECT_LT(ticks[1] * 4, ticks[0]);
+}
+
+TEST(SkipAhead, CoreGroupReplaysFullWpqRetriesOncePerJump)
+{
+    // Two cores share the hierarchy, so a jump replays the L3's
+    // refused retry once, not once per core.
+    const std::vector<Trace> traces{persistLoop(160, nvmRegion(0)),
+                                    persistLoop(160, nvmRegion(1))};
+    std::array<SimResult, 2> r;
+    for (std::size_t m = 0; m < kModes.size(); ++m) {
+        Session s(SimConfig::paper(Config::B)
+                      .withCoreCount(2)
+                      .withMem(tinyWpq())
+                      .withTicking(kModes[m]));
+        r[m] = s.run(RunRequest::perCore(traces));
+        ASSERT_TRUE(r[m].ok());
+    }
+    expectSameWire(exp::toWire("run", r[0].stats),
+                   exp::toWire("run", r[1].stats));
+    EXPECT_GT(r[1].stats.nvm.bufferFullRejects, 0u);
+    EXPECT_LT(r[1].profile.hostTicks * 4, r[0].profile.hostTicks);
+}
+
+TEST(SkipAhead, AcceptFaultHookKeepsEveryRetry)
+{
+    // A fault hook may answer each attempt differently -- this one
+    // refuses every fiftieth, so refused retries of the full WPQ wait
+    // on it -- and while one is installed the NVM defers no retry:
+    // skip-ahead must make every attempt reference ticking makes.
+    std::array<SimResult, 2> r;
+    for (std::size_t m = 0; m < kModes.size(); ++m) {
+        Session s(SimConfig::paper(Config::B)
+                      .withMem(tinyWpq())
+                      .withTicking(kModes[m]));
+        s.system().mem().controller().nvm().setAcceptFaultHook(
+            [calls = 0u](const MemReq &, Cycle) mutable {
+                return ++calls % 50 == 0;
+            });
+        r[m] = s.run(RunRequest::of(persistLoop(160, nvmRegion(0))));
+        ASSERT_TRUE(r[m].ok());
+    }
+    expectSameWire(exp::toWire("run", r[0].stats),
+                   exp::toWire("run", r[1].stats));
+    EXPECT_GT(r[1].stats.nvm.transientRejects, 0u);
+    EXPECT_GT(r[1].stats.nvm.bufferFullRejects, 0u);
 }
 
 } // namespace
