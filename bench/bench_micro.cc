@@ -14,7 +14,7 @@
 #include "core/wait_counters.hh"
 #include "isa/encoding.hh"
 #include "mem/mem_system.hh"
-#include "pipeline/core.hh"
+#include "sim/session.hh"
 #include "trace/builder.hh"
 
 namespace ede {
@@ -120,10 +120,8 @@ BM_SimulatorThroughput(benchmark::State &state)
     }
     std::uint64_t cycles = 0;
     for (auto _ : state) {
-        MemSystem mem{MemSystemParams{}};
-        CoreParams params;
-        OoOCore core(params, mem);
-        cycles += core.run(t);
+        Session session(SimConfig::paper(Config::B));
+        cycles += session.run(RunRequest::of(t)).cycles();
     }
     state.counters["sim_cycles/s"] = benchmark::Counter(
         static_cast<double>(cycles), benchmark::Counter::kIsRate);

@@ -12,8 +12,7 @@
 #include <cstdio>
 
 #include "common/stats.hh"
-#include "mem/mem_system.hh"
-#include "pipeline/core.hh"
+#include "sim/session.hh"
 #include "trace/builder.hh"
 
 using namespace ede;
@@ -23,20 +22,15 @@ namespace {
 struct PatternRun
 {
     Cycle total = 0;
-    std::vector<Cycle> issue;
-    std::vector<Cycle> retire;
     std::vector<Cycle> complete;
 };
 
-/** Run N repetitions of the Figure 8 pattern under @p mode. */
+/** Run N repetitions of the Figure 8 pattern under @p cfg. */
 PatternRun
-runPattern(EnforceMode mode, int reps)
+runPattern(Config cfg, int reps)
 {
-    MemSystem mem{MemSystemParams{}};
-    CoreParams params;
-    params.ede = mode;
-    OoOCore core(params, mem);
-    core.setRecordCompletions(true);
+    Session session(SimConfig::paper(cfg));
+    session.system().recordCompletions(true);
 
     Trace t;
     TraceBuilder b(t);
@@ -58,9 +52,9 @@ runPattern(EnforceMode mode, int reps)
         pattern_idx.push_back(b.str(6, 7, dram1, 2, 0, {0, 2}));
     }
     PatternRun run;
-    run.total = core.run(t);
+    run.total = session.run(RunRequest::of(std::move(t))).cycles();
     for (std::size_t i : pattern_idx)
-        run.complete.push_back(core.completionCycles()[i]);
+        run.complete.push_back(session.system().completionCycles()[i]);
     return run;
 }
 
@@ -72,8 +66,8 @@ main()
     std::printf("== Figure 8: IQ vs WB on the 4-instruction "
                 "pattern ==\n\n");
     constexpr int kReps = 16;
-    const PatternRun iq = runPattern(EnforceMode::IQ, kReps);
-    const PatternRun wb = runPattern(EnforceMode::WB, kReps);
+    const PatternRun iq = runPattern(Config::IQ, kReps);
+    const PatternRun wb = runPattern(Config::WB, kReps);
 
     TextTable t({"design", "total cycles", "cycles/pattern"});
     t.addRow({"IQ", std::to_string(iq.total),

@@ -12,12 +12,6 @@
  * artifact (BENCH_scaling.json) is the unified ResultSink schema,
  * whose per-cell "cores" array and "coherence" object carry the
  * per-core breakdown and the coherence-point counters.
- *
- * --check-single-core is the differential gate the CI runs: a
- * 1-core machine built through the refactored System (CoreGroup run
- * loop, per-core L1 vector, cross-core plumbing compiled in but
- * detached) must reproduce the raw OoOCore::run legacy loop
- * bit-identically, cycle counts and counters alike.
  */
 
 #include <algorithm>
@@ -30,7 +24,7 @@
 #include "common/stats.hh"
 #include "exp/runner.hh"
 #include "exp/sink.hh"
-#include "sim/session.hh"
+#include "sim/sim_config.hh"
 
 using namespace ede;
 using namespace ede::bench;
@@ -42,7 +36,6 @@ struct Options
     int opsPerCore = 256;
     std::uint64_t seed = 42;
     bool smoke = false;
-    bool checkSingleCore = false;
     CommonOptions common;  ///< --jobs / --json / --cache-dir / ...
 };
 
@@ -53,81 +46,6 @@ cellLabel(ConcApp app, Config cfg, unsigned cores)
     return std::string(concAppName(app)) + "/" +
            std::string(configName(cfg)) + "/" +
            std::to_string(cores) + "c";
-}
-
-/**
- * The differential gate: every kernel x configuration on one core,
- * run through the refactored System AND through the raw legacy
- * OoOCore::run loop on a hand-assembled machine.  Any difference in
- * cycles or headline counters fails the gate.
- */
-int
-checkSingleCore(const Options &opt)
-{
-    int failures = 0;
-    for (ConcApp app : kAllConcApps) {
-        for (Config cfg : kAllConfigs) {
-            ConcParams cp;
-            cp.cfg = cfg;
-            cp.cores = 1;
-            cp.opsPerCore = opt.opsPerCore;
-            cp.seed = opt.seed;
-            const std::vector<Trace> traces =
-                buildConcurrentTraces(app, cp);
-
-            const SimConfig sc = SimConfig::paper(cfg);
-            Session session(sc);
-            const SimResult viaSystem =
-                session.run(RunRequest::perCore(traces));
-
-            // The legacy path: hand-assembled machine, historical
-            // single-core run loop.
-            const SimParams params = sc.params();
-            MemSystem mem(params.mem);
-            OoOCore core(params.core, mem);
-            core.run(traces[0]);
-
-            const CoreStats &a = viaSystem.stats.core;
-            const CoreStats &b = core.stats();
-            const WriteBufferStats &wa = viaSystem.stats.wb;
-            const WriteBufferStats &wb = core.wbStats();
-            const bool same =
-                viaSystem.ok() &&
-                core.simError().kind == SimErrorKind::None &&
-                a.cycles == b.cycles && a.retired == b.retired &&
-                a.issuedOps == b.issuedOps &&
-                a.dispatched == b.dispatched &&
-                a.squashes == b.squashes &&
-                a.retireStallWbFull == b.retireStallWbFull &&
-                a.dispatchStallRob == b.dispatchStallRob &&
-                wa.pushes == wb.pushes &&
-                wa.srcIdGated == wb.srcIdGated &&
-                viaSystem.stats.l1d.hits == mem.l1d().stats().hits &&
-                viaSystem.stats.l1d.misses ==
-                    mem.l1d().stats().misses;
-            if (!same) {
-                ++failures;
-                std::printf(
-                    "MISMATCH %s/%s: System %llu cycles / %llu "
-                    "retired vs legacy %llu / %llu\n",
-                    std::string(concAppName(app)).c_str(),
-                    std::string(configName(cfg)).c_str(),
-                    static_cast<unsigned long long>(a.cycles),
-                    static_cast<unsigned long long>(a.retired),
-                    static_cast<unsigned long long>(b.cycles),
-                    static_cast<unsigned long long>(b.retired));
-            }
-        }
-    }
-    if (failures) {
-        std::printf("single-core differential gate: %d mismatched "
-                    "cell(s)\n", failures);
-        return 1;
-    }
-    std::printf("single-core differential gate: all %zu cells "
-                "bit-identical\n",
-                kAllConcApps.size() * kAllConfigs.size());
-    return 0;
 }
 
 } // namespace
@@ -145,17 +63,10 @@ main(int argc, char **argv)
               })
         .toggle("--smoke",
                 "tiny sweep for CI (MS-queue, 1 and 4 cores, 32 ops)",
-                [&opt] { opt.smoke = true; })
-        .toggle("--check-single-core",
-                "differential gate: System(coreCount=1) must match "
-                "the legacy raw-core run loop bit-identically",
-                [&opt] { opt.checkSingleCore = true; });
+                [&opt] { opt.smoke = true; });
     addSeedFlag(cli, opt.seed);
     addCommonFlags(cli, opt.common);
     cli.parse(argc, argv);
-
-    if (opt.checkSingleCore)
-        return checkSingleCore(opt);
 
     std::vector<ConcApp> apps(kAllConcApps.begin(),
                               kAllConcApps.end());

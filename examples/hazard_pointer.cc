@@ -9,8 +9,7 @@
 
 #include <cstdio>
 
-#include "mem/mem_system.hh"
-#include "pipeline/core.hh"
+#include "sim/session.hh"
 #include "trace/builder.hh"
 
 using namespace ede;
@@ -20,11 +19,6 @@ namespace {
 Cycle
 announceLoop(bool use_ede, int iters)
 {
-    MemSystem mem{MemSystemParams{}};
-    CoreParams params;
-    params.ede = EnforceMode::WB;
-    OoOCore core(params, mem);
-
     Trace t;
     TraceBuilder b(t);
     const Addr elem_loc = 0x200000;
@@ -52,7 +46,8 @@ announceLoop(bool use_ede, int iters)
                   nodes + 64ull * ((i * 7 + l * 131) % 2048));
         }
     }
-    return core.run(t);
+    Session session(SimConfig::paper(Config::WB));
+    return session.run(RunRequest::of(std::move(t))).cycles();
 }
 
 } // namespace

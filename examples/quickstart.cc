@@ -11,8 +11,7 @@
 #include <cstdio>
 
 #include "isa/encoding.hh"
-#include "mem/mem_system.hh"
-#include "pipeline/core.hh"
+#include "sim/session.hh"
 #include "trace/builder.hh"
 
 using namespace ede;
@@ -20,16 +19,11 @@ using namespace ede;
 int
 main()
 {
-    // A memory system and an out-of-order core with the write-buffer
-    // EDE realization (Table I parameters).
-    MemSystem mem{MemSystemParams{}};
-    CoreParams params;
-    params.ede = EnforceMode::WB;
-    OoOCore core(params, mem);
-    core.setRecordCompletions(true);
-
-    MemoryImage image;
-    core.setTimingImage(&image);
+    // A one-core machine with the write-buffer EDE realization
+    // (Table I parameters), recording every completion cycle.
+    Session session(SimConfig::paper(Config::WB));
+    System &sys = session.system();
+    sys.recordCompletions(true);
 
     // Addresses: a log slot and an element, both in NVM.
     const Addr nvm = MemSystemParams{}.map.nvmBase();
@@ -64,22 +58,26 @@ main()
         }
     }
 
-    const Cycle cycles = core.run(trace);
+    const SimResult r = session.run(RunRequest::of(trace));
+    if (!r.ok()) {
+        std::fprintf(stderr, "%s\n", r.error.describe().c_str());
+        return 1;
+    }
 
     std::printf("\nran %zu instructions in %llu cycles (IPC %.2f)\n",
                 trace.size(),
-                static_cast<unsigned long long>(cycles),
-                core.stats().ipc());
+                static_cast<unsigned long long>(r.cycles()),
+                r.stats.core.ipc());
     std::printf("log persist completed at cycle %llu\n",
                 static_cast<unsigned long long>(
-                    core.completionCycles()[log_cvap]));
+                    sys.completionCycles()[log_cvap]));
     std::printf("element store visible at cycle %llu "
                 "(never before the log persist)\n",
                 static_cast<unsigned long long>(
-                    core.completionCycles()[upd]));
+                    sys.completionCycles()[upd]));
     std::printf("element value in coherent memory: %llu\n",
                 static_cast<unsigned long long>(
-                    image.read<std::uint64_t>(elem)));
+                    sys.timingImage().read<std::uint64_t>(elem)));
     std::printf("fences executed: %zu (the DSB of Figure 4 is "
                 "gone)\n", trace.fenceCount());
     return 0;

@@ -13,9 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "mem/mem_system.hh"
-#include "pipeline/core.hh"
-#include "sim/config.hh"
+#include "sim/session.hh"
 #include "trace/builder.hh"
 
 using namespace ede;
@@ -75,23 +73,22 @@ main()
                 "timelines ==\n");
     const Addr nvm = MemSystemParams{}.map.nvmBase();
     for (Config cfg : kAllConfigs) {
-        MemSystem mem{MemSystemParams{}};
-        CoreParams params;
-        params.ede = configEnforceMode(cfg);
-        OoOCore core(params, mem);
-        core.setRecordCompletions(true);
+        Session session(SimConfig::paper(cfg));
+        session.system().recordCompletions(true);
 
         Trace t;
         TraceBuilder b(t);
         std::vector<Labeled> labeled;
         emitUpdates(b, cfg, nvm + 0x1000, nvm + 0x8000, labeled);
-        const Cycle total = core.run(t);
+        const Cycle total =
+            session.run(RunRequest::of(std::move(t))).cycles();
 
         std::printf("\n[%s]  total=%llu cycles\n",
                     std::string(configName(cfg)).c_str(),
                     static_cast<unsigned long long>(total));
         for (const Labeled &l : labeled) {
-            const Cycle done = core.completionCycles()[l.idx];
+            const Cycle done =
+                session.system().completionCycles()[l.idx];
             std::printf("  %-22s done @%5llu  |%s\n", l.label.c_str(),
                         static_cast<unsigned long long>(done),
                         std::string(std::min<std::size_t>(

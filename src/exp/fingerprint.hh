@@ -63,7 +63,7 @@ namespace exp {
  * RunResult snapshots gained the per-core breakdown and the
  * coherence counters, and CacheStats gained the snoop tallies.  A
  * coreCount=1 machine is bit-identical to v5 timing by construction
- * (the differential gate in bench/fig_scaling enforces it), but the
+ * (tests/golden pins the one-core results), but the
  * snapshot layout changed, so v5 snapshots must not replay.
  *
  * v7: the open-loop traffic harness landed.  RunResult snapshots

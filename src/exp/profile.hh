@@ -27,7 +27,7 @@
 
 namespace ede {
 
-/** Wall-clock timers and skip counters for one OoOCore::run. */
+/** Wall-clock timers and skip counters for one CoreGroup::run. */
 struct HostProfile
 {
     /**
@@ -45,7 +45,7 @@ struct HostProfile
     /** Whole-run wall-clock time, nanoseconds. */
     std::uint64_t wallNanos = 0;
 
-    /** tickOnce invocations actually executed on the host. */
+    /** Simulated cycles actually ticked on the host. */
     std::uint64_t hostTicks = 0;
 
     /** Skip-ahead jumps taken (0 under reference ticking). */

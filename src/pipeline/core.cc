@@ -1036,16 +1036,6 @@ OoOCore::finished() const
 }
 
 void
-OoOCore::tickOnce(Cycle now, HostProfile *timed)
-{
-    {
-        PhaseTimer t(timed, &HostProfile::memNanos);
-        mem_.tick(now);
-    }
-    tickPipeline(now, timed);
-}
-
-void
 OoOCore::tickPipeline(Cycle now, HostProfile *timed)
 {
     {
@@ -1171,82 +1161,11 @@ OoOCore::replayDeadTicks(const StallSnapshot &pre, Cycle skipped)
 void
 OoOCore::beginRun(const Trace &trace)
 {
-    ede_assert(!ran_, "OoOCore::run is single-shot; build a new core");
+    ede_assert(!ran_, "a core runs once; build a new core");
     ran_ = true;
     trace_ = &trace;
     if (recordCompletions_)
         completionCycles_.assign(trace.size(), kNoCycle);
-}
-
-Cycle
-OoOCore::run(const Trace &trace)
-{
-    beginRun(trace);
-    PhaseSampler sampler(profile_);
-    const bool skip = ticking_ == TickingMode::SkipAhead;
-
-    Cycle now = 0;
-    lastProgressCycle_ = 0;
-    // Failed-attempt backoff: when a dead tick's skipTarget comes
-    // back <= now (some queue is mid-drain and hints "ready"), the
-    // full component walk was wasted.  Retrying it every dead cycle
-    // can cost more than the ticks it saves, so back off
-    // exponentially (capped) until a skip lands or progress resumes.
-    // Purely a host-time heuristic: the extra dead cycles are ticked
-    // normally, so simulated results are unaffected.
-    Cycle nextAttempt = 0;
-    Cycle backoff = 1;
-    while (!finished()) {
-        const StallSnapshot pre = beginTick();
-        tickOnce(now, sampler.tick());
-        ++now;
-        if (profile_)
-            ++profile_->hostTicks;
-        if (runChecks(now))
-            break;
-        if (!skip || progressedSince(pre)) {
-            nextAttempt = 0;
-            backoff = 1;
-            continue;
-        }
-        if (now < nextAttempt)
-            continue;
-
-        // Dead tick: nothing dispatched, issued, executed, completed
-        // or retired, and the write buffer started nothing.  Every
-        // cycle until the earliest advertised event is an identical
-        // no-op -- jump there, replaying the stall counters and the
-        // refused memory retries the skipped ticks would have
-        // accumulated.
-        Cycle target;
-        {
-            PhaseTimer timer(profile_, &HostProfile::skipNanos);
-            if (profile_)
-                ++profile_->skipAttempts;
-            target = skipTarget(now);
-        }
-        if (target <= now) {
-            nextAttempt = now + backoff;
-            backoff = std::min<Cycle>(backoff * 2, 16);
-            continue;
-        }
-        nextAttempt = 0;
-        backoff = 1;
-        const Cycle skipped = target - now;
-        replayDeadTicks(pre, skipped);
-        mem_.replaySkipped(skipped);
-        now = target;
-        if (profile_) {
-            ++profile_->skipJumps;
-            profile_->cyclesSkipped += skipped;
-        }
-        // The landing cycle may be a check firing cycle.
-        if (runChecks(now))
-            break;
-    }
-    stats_.cycles = now;
-    sampler.finish(now, !skip);
-    return now;
 }
 
 } // namespace ede

@@ -174,25 +174,10 @@ class OoOCore
         return it == watched_.end() ? kNoCycle : it->second;
     }
 
-    /**
-     * Run @p trace to completion; @return total cycles.  When the
-     * progress watchdog or the maxCycles backstop fires, the run
-     * stops early and simError() carries the diagnostic report --
-     * callers must check it before trusting the cycle count.
-     */
-    Cycle run(const Trace &trace);
-
     /** Structured abort report; kind == None after a clean run. */
     const SimError &simError() const { return simError_; }
 
     const CoreStats &stats() const { return stats_; }
-
-    /**
-     * Attach a host-perf profile; run() adds its wall time, sampled
-     * phase estimates and skip counters to it.  Host-side only:
-     * attaching a profile never changes simulated behaviour.
-     */
-    void setProfile(HostProfile *profile) { profile_ = profile; }
 
     /** The concrete (Auto-resolved) ticking mode this core runs. */
     TickingMode ticking() const { return ticking_; }
@@ -229,20 +214,15 @@ class OoOCore
     };
 
     /**
-     * One cycle.  @p timed is the run's phase sample on a sampled
-     * host tick (PhaseSampler::tick), null on every other tick.
-     */
-    void tickOnce(Cycle now, HostProfile *timed);
-
-    /**
-     * The core-private portion of tickOnce: everything except the
-     * shared memory hierarchy's tick.  CoreGroup ticks the hierarchy
-     * exactly once per cycle and then runs each core's pipeline, so
-     * the split keeps a shared MemSystem from being advanced N times.
+     * This core's part of one cycle: everything except the shared
+     * memory hierarchy's tick, which CoreGroup::run does once per
+     * cycle before every core's pipeline.  @p timed is the run's
+     * phase sample on a sampled host tick (PhaseSampler::tick), null
+     * on every other tick.
      */
     void tickPipeline(Cycle now, HostProfile *timed);
 
-    /** Per-run initialization shared by run() and CoreGroup. */
+    /** Bind @p trace for CoreGroup::run; a core runs once. */
     void beginRun(const Trace &trace);
 
     /** @name Cross-core-aware WAIT retirement conditions. */
@@ -296,7 +276,7 @@ class OoOCore
     Cycle skipTarget(Cycle now) const;
 
     /**
-     * @name Dead-tick replay, shared by both run loops.
+     * @name Dead-tick snapshot and replay for CoreGroup::run.
      *
      * A tick without progress may bump only the stall counters below,
      * and every skipped cycle would bump them by the same amounts, so
@@ -442,9 +422,8 @@ class OoOCore
     Cycle lastEdkCheckCycle_ = 0;
     /** Concrete loop strategy (CoreParams::ticking, Auto resolved). */
     TickingMode ticking_ = TickingMode::SkipAhead;
-    /** Set by any state-changing pipeline action during tickOnce. */
+    /** Set by any state-changing pipeline action during a tick. */
     bool progress_ = false;
-    HostProfile *profile_ = nullptr;
     SimError simError_;
     /** traceIdx -> forged edeSrc offset (fault-injection seam). */
     std::unordered_map<std::size_t, SeqNum> edeSrcOverrides_;

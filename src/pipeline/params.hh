@@ -22,7 +22,7 @@ namespace ede {
  * exists).
  */
 /**
- * How OoOCore::run advances simulated time.
+ * How CoreGroup::run advances simulated time.
  *
  * Both modes produce bit-identical cycle counts and CoreStats; the
  * skip-ahead scheduler only jumps over cycles that are provably
@@ -38,7 +38,7 @@ enum class TickingMode
     Auto,
     /** Event-driven: jump dead windows to the next component hint. */
     SkipAhead,
-    /** The original tickOnce-per-cycle loop (differential oracle). */
+    /** Tick every cycle (the differential oracle). */
     Reference,
 };
 

@@ -16,19 +16,18 @@ CoreGroup::CoreGroup(std::vector<OoOCore *> cores)
                    "all cores of a group must share one MemSystem");
         ede_assert(c->ticking_ == cores_[0]->ticking_,
                    "all cores of a group must share one ticking mode");
-        ede_assert(!c->ran_, "core group cores must not have run");
     }
 }
 
 Cycle
-CoreGroup::run(const std::vector<const Trace *> &traces)
+CoreGroup::run(const std::vector<const Trace *> &traces,
+               HostProfile *prof)
 {
     ede_assert(traces.size() == cores_.size(),
                "core group needs one trace per core");
     for (std::size_t i = 0; i < cores_.size(); ++i)
         cores_[i]->beginRun(*traces[i]);
 
-    HostProfile *prof = cores_[0]->profile_;
     PhaseSampler sampler(prof);
     MemSystem &mem = cores_[0]->mem_;
     const bool skip = cores_[0]->ticking_ == TickingMode::SkipAhead;
@@ -45,8 +44,8 @@ CoreGroup::run(const std::vector<const Trace *> &traces)
     for (OoOCore *c : cores_)
         c->lastProgressCycle_ = 0;
 
-    // A core handed an empty trace is finished before the first tick;
-    // it executes for zero cycles, exactly as its solo run would.
+    // A core handed an empty trace is finished before the first
+    // tick: it executes for zero cycles.
     for (std::size_t i = 0; i < n; ++i) {
         if (cores_[i]->finished()) {
             cores_[i]->stats_.cycles = 0;
@@ -55,8 +54,13 @@ CoreGroup::run(const std::vector<const Trace *> &traces)
         }
     }
 
-    // Group-level failed-attempt backoff, same heuristic and cap as
-    // the single-core loop (host-time only; never changes results).
+    // Failed-attempt backoff: when a dead tick's skip target comes
+    // back <= now (some queue is mid-drain and hints "ready"), the
+    // full component walk was wasted.  Retrying it every dead cycle
+    // can cost more than the ticks it saves, so back off
+    // exponentially (capped) until a skip lands or progress resumes.
+    // Purely a host-time heuristic: the extra dead cycles are ticked
+    // normally, so simulated results are unaffected.
     Cycle nextAttempt = 0;
     Cycle backoff = 1;
     bool stopped = false;
@@ -69,9 +73,9 @@ CoreGroup::run(const std::vector<const Trace *> &traces)
 
         // The shared hierarchy ticks exactly once per cycle; each
         // unfinished core then runs its private pipeline in index
-        // order against the post-tick memory state, just as a solo
-        // core's tickOnce does.  A sampled tick times every core's
-        // phases into the one machine-wide profile.
+        // order against the post-tick memory state.  A sampled tick
+        // times every core's phases into the one machine-wide
+        // profile.
         HostProfile *timed = sampler.tick();
         {
             PhaseTimer t(timed, &HostProfile::memNanos);
@@ -123,9 +127,10 @@ CoreGroup::run(const std::vector<const Trace *> &traces)
         if (now < nextAttempt)
             continue;
 
-        // Group skip target: the earliest advertised event of any
-        // unfinished core (each core's walk already includes the
-        // shared hierarchy's hint and its own check firing cycles).
+        // Dead tick: every cycle until the earliest advertised event
+        // of any unfinished core (each core's walk already includes
+        // the shared hierarchy's hint and its own check firing
+        // cycles) is an identical no-op, so jump there.
         Cycle target;
         {
             PhaseTimer timer(prof, &HostProfile::skipNanos);
@@ -167,7 +172,7 @@ CoreGroup::run(const std::vector<const Trace *> &traces)
     }
 
     // Cores still unfinished (the group stopped on an error) record
-    // the stop cycle, matching the solo loop's early-exit behaviour.
+    // the stop cycle.
     for (std::size_t i = 0; i < n; ++i) {
         if (running[i])
             cores_[i]->stats_.cycles = now;

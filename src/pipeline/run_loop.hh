@@ -1,24 +1,17 @@
 /**
  * @file
- * CoreGroup: the N-core generalization of OoOCore's run loop.
+ * CoreGroup: the simulator's run loop, for one core and for N.
  *
  * A group ticks the shared memory hierarchy exactly once per cycle,
  * then runs every unfinished core's private pipeline in core-index
- * order.  The skip-ahead machinery generalizes per-core: a cycle is
- * dead only when *no* core made progress, and the jump target is the
- * earliest of every unfinished core's advertised events -- so a
- * cross-core WAIT release (which always rides on some core's
- * completion, i.e. on progress) can never be jumped over.  Each
- * core's dead-tick stall counters are replayed individually through
- * the helper the single-core loop uses, and the shared hierarchy's
- * refused retries once per jump.
- *
- * A group of one core reproduces OoOCore::run(trace) bit-identically:
- * the loop body is the same sequence of calls on the same state, and
- * the differential gate in bench/fig_scaling holds the two paths
- * against each other.  OoOCore::run keeps its own copy of the
- * single-core loop, sharing only the dead-tick snapshot and replay
- * helpers, so that gate compares two loop implementations.
+ * order.  Skip-ahead works per machine: a cycle is dead only when
+ * *no* core made progress, and the jump target is the earliest of
+ * every unfinished core's advertised events -- so a cross-core WAIT
+ * release (which always rides on some core's completion, i.e. on
+ * progress) can never be jumped over.  Each core's dead-tick stall
+ * counters are replayed individually, and the shared hierarchy's
+ * refused retries once per jump.  A one-core machine is a group of
+ * one; tests/golden pins its results.
  */
 
 #ifndef EDE_PIPELINE_RUN_LOOP_HH
@@ -44,11 +37,14 @@ class CoreGroup
     /**
      * Run core i's trace on core i until every core finishes (or any
      * core's watchdog/maxCycles/EDK check stops the run -- check each
-     * core's simError()).  Single-shot.  @return the cycle the last
-     * core finished; each core's own CoreStats::cycles records its
-     * individual finish cycle.
+     * core's simError()).  Single-shot.  A non-null @p prof gets the
+     * run's wall time, sampled phase estimates and skip counters;
+     * profiling never changes simulated behaviour.  @return the
+     * cycle the last core finished; each core's own CoreStats::cycles
+     * records its individual finish cycle.
      */
-    Cycle run(const std::vector<const Trace *> &traces);
+    Cycle run(const std::vector<const Trace *> &traces,
+              HostProfile *prof);
 
   private:
     std::vector<OoOCore *> cores_;

@@ -131,7 +131,7 @@ class WriteBuffer
      * an instruction completing -- core progress that ends any skip
      * window by itself -- so a gated buffer advertises no intrinsic
      * event; the gating stall counters of the cycles skipped over are
-     * replayed by the core (see OoOCore::run).
+     * replayed by the core (OoOCore::replayDeadTicks).
      */
     Cycle nextEventCycle(Cycle now) const;
 

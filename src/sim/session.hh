@@ -2,11 +2,10 @@
  * @file
  * Session: one validated simulation from configuration to result.
  *
- * OoOCore::run is deliberately single-shot (warm predictor/EDM state
- * must never leak between runs), which used to leave every caller
- * hand-assembling MemSystem + OoOCore + images and separately
- * remembering to check simError() before trusting the cycle count.
- * Session packages that contract around one entry point:
+ * A machine runs once (warm predictor/EDM state must never leak
+ * between runs), and its cycle count means nothing until simError()
+ * has been checked.  Session packages that contract around one entry
+ * point:
  *
  *   Session s(SimConfig::paper(Config::WB));
  *   SimResult r = s.run(RunRequest::of(trace));

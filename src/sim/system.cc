@@ -39,10 +39,6 @@ System::wire()
             core->setCrossCore(xcore_.get());
         cores_.push_back(std::move(core));
     }
-    // The host profile aggregates whole-machine host time; the group
-    // run loop reaches it through core 0 and charges every core's
-    // phases to it.
-    cores_.front()->setProfile(&profile_);
 
     // Entering the persistent on-DIMM buffer makes a line durable:
     // snapshot its coherent contents into the crash image.
@@ -81,7 +77,7 @@ System::run(const std::vector<Trace> &traces)
         cores.push_back(cores_[i].get());
         ptrs.push_back(&traces[i]);
     }
-    return CoreGroup(std::move(cores)).run(ptrs);
+    return CoreGroup(std::move(cores)).run(ptrs, &profile_);
 }
 
 Cycle
@@ -91,7 +87,7 @@ System::run(const Trace &trace)
                "System::run(Trace) is the single-core entry point; "
                "this machine has ", cores_.size(),
                " cores -- pass one trace per core");
-    return CoreGroup({cores_.front().get()}).run({&trace});
+    return CoreGroup({cores_.front().get()}).run({&trace}, &profile_);
 }
 
 const SimError *

@@ -8,16 +8,13 @@
  * coherence point, persist-event order at the NVM, WAIT gating
  * across cores -- rather than racy load values.  Every multi-core
  * shape is run under both the skip-ahead and the reference tickers,
- * which must agree cycle-for-cycle, and a single-core machine built
- * through the refactored System must match the legacy raw-core run
- * loop bit-identically.
+ * which must agree cycle-for-cycle.
  */
 
 #include <gtest/gtest.h>
 
 #include "apps/concurrent.hh"
 #include "mem/mem_system.hh"
-#include "pipeline/core.hh"
 #include "sim/session.hh"
 #include "trace/builder.hh"
 
@@ -378,43 +375,6 @@ TEST(Coherence, ConcurrentKernelsTickingParity)
                 << concAppName(app);
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Single-core equivalence: the refactored System on one core must be
-// bit-identical to the legacy raw OoOCore::run loop.
-// ---------------------------------------------------------------------
-
-TEST(SingleCoreEquivalence, SystemMatchesLegacyRunLoop)
-{
-    ConcParams cp;
-    cp.cfg = Config::IQ;
-    cp.cores = 1;
-    cp.opsPerCore = 48;
-    const std::vector<Trace> traces =
-        buildConcurrentTraces(ConcApp::MsQueue, cp);
-
-    const SimConfig sc = SimConfig::paper(Config::IQ);
-    Session session(sc);
-    const SimResult via_system = session.run(RunRequest::perCore(traces));
-    ASSERT_TRUE(via_system.ok());
-
-    MemSystem mem(sc.params().mem);
-    OoOCore core(sc.params().core, mem);
-    core.run(traces[0]);
-    ASSERT_EQ(core.simError().kind, SimErrorKind::None);
-
-    const CoreStats &a = via_system.stats.core;
-    const CoreStats &b = core.stats();
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.retired, b.retired);
-    EXPECT_EQ(a.issuedOps, b.issuedOps);
-    EXPECT_EQ(a.dispatched, b.dispatched);
-    EXPECT_EQ(a.retireStallWbFull, b.retireStallWbFull);
-    EXPECT_EQ(a.dispatchStallRob, b.dispatchStallRob);
-    EXPECT_EQ(via_system.stats.wb.pushes, core.wbStats().pushes);
-    EXPECT_EQ(via_system.stats.l1d.hits, mem.l1d().stats().hits);
-    EXPECT_EQ(via_system.stats.l1d.misses, mem.l1d().stats().misses);
 }
 
 // ---------------------------------------------------------------------

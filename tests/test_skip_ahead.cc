@@ -2,9 +2,9 @@
  * @file
  * Differential validation of the skip-ahead scheduler.
  *
- * The skip-ahead loops (CoreGroup::run and the legacy OoOCore::run)
- * jump dead windows using component next-event hints; the reference
- * loop ticks every cycle.  The contract is bit-identical *simulated*
+ * Under skip-ahead ticking the run loop (CoreGroup::run) jumps dead
+ * windows using component next-event hints; under reference ticking
+ * it ticks every cycle.  The contract is bit-identical *simulated*
  * results: the whole RunResult in the wire form the result cache
  * stores (every core, cache, DRAM, NVM and coherence counter,
  * replayed dead-tick stalls and refused retries included) and the
@@ -254,23 +254,21 @@ TEST(SkipAhead, ProfileTimesEveryCore)
 
 TEST(SkipAhead, PhaseEstimatesScaleOncePerRun)
 {
-    // A System is single-shot, so the only profile that sees two runs
-    // is one shared across them (as a sweep total is): here one run
-    // through the legacy loop and one through CoreGroup.  Each run
-    // scales its own sample once, so the phase estimates plus the
-    // exact skip time never exceed the accumulated wall time.
+    // A machine runs once, so the only profile that sees two runs is
+    // one shared across them (as a sweep total is): here two one-core
+    // groups hand the same profile to run.  Each run scales its own
+    // sample once, so the phase estimates plus the exact skip time
+    // never exceed the accumulated wall time.
     HostProfile prof;
     MemSystem mem_a;
     MemSystem mem_b;
     OoOCore a(CoreParams{}, mem_a);
     OoOCore b(CoreParams{}, mem_b);
-    a.setProfile(&prof);
-    b.setProfile(&prof);
     const Trace setup = persistLoop(96, nvmRegion(0));
     const Trace ops = persistLoop(160, nvmRegion(1));
-    const Cycle cycles_a = a.run(setup);
+    const Cycle cycles_a = CoreGroup({&a}).run({&setup}, &prof);
     const HostProfile first = prof;
-    const Cycle cycles_b = CoreGroup({&b}).run({&ops});
+    const Cycle cycles_b = CoreGroup({&b}).run({&ops}, &prof);
     ASSERT_FALSE(a.simError());
     ASSERT_FALSE(b.simError());
 
@@ -325,43 +323,6 @@ TEST(SkipAhead, WaitAllKeysWakesAtTheSameCycle)
 
 const std::array<TickingMode, 2> kModes{TickingMode::Reference,
                                         TickingMode::SkipAhead};
-
-/** A raw core's run, the hierarchy's counters included, as wire. */
-std::string
-machineWire(const OoOCore &core, const MemSystem &mem)
-{
-    const NvmDevice &nvm = mem.controller().nvm();
-    return exp::toWire("core", core.stats()) +
-           exp::toWire("wb", core.wbStats()) +
-           exp::toWire("nvm", nvm.stats()) +
-           exp::toWire("occupancy", nvm.occupancyDist()) +
-           exp::toWire("l1d", mem.l1d().stats()) +
-           exp::toWire("l2", mem.l2().stats()) +
-           exp::toWire("l3", mem.l3().stats()) +
-           exp::toWire("dram", mem.controller().dram().stats());
-}
-
-TEST(SkipAhead, LegacyLoopReplaysFullWpqRetries)
-{
-    // OoOCore::run, the raw single-core loop, keeps the 4-slot WPQ
-    // full with fenced cleans.
-    const Trace t = persistLoop(160, nvmRegion(0));
-    std::array<std::string, 2> wire;
-    std::array<std::uint64_t, 2> ticks{};
-    for (std::size_t m = 0; m < kModes.size(); ++m) {
-        HostProfile prof;
-        MemSystem mem(tinyWpq());
-        OoOCore core(pinned(kModes[m]), mem);
-        core.setProfile(&prof);
-        core.run(t);
-        ASSERT_FALSE(core.simError());
-        EXPECT_GT(mem.controller().nvm().stats().bufferFullRejects, 0u);
-        wire[m] = machineWire(core, mem);
-        ticks[m] = prof.hostTicks;
-    }
-    expectSameWire(wire[0], wire[1]);
-    EXPECT_LT(ticks[1] * 4, ticks[0]);
-}
 
 TEST(SkipAhead, CoreGroupReplaysFullWpqRetriesOncePerJump)
 {
