@@ -26,7 +26,6 @@
 
 #include "apps/harness.hh"
 #include "cli.hh"
-#include "common/logging.hh"
 #include "common/stats.hh"
 #include "exp/runner.hh"
 #include "exp/sink.hh"
@@ -41,7 +40,7 @@ struct BenchOptions
     std::vector<AppId> apps{kAllApps.begin(), kAllApps.end()};
     bool paperScale = false;
     CommonOptions common;  ///< --jobs / --json / --cache-dir / ...
-    IsolationOptions iso;  ///< --isolate / --journal / --resume / ...
+    exp::Isolation iso;    ///< --isolate / --journal / --resume / ...
 };
 
 /** The standard sweep flags, registered on a shared Cli. */
@@ -81,15 +80,8 @@ makeCli(const char *bench, BenchOptions &opt)
                            pos, comma == std::string::npos
                                     ? comma
                                     : comma - pos);
-                       bool found = false;
-                       for (AppId id : kAllApps) {
-                           if (appName(id) == name) {
-                               opt.apps.push_back(id);
-                               found = true;
-                           }
-                       }
-                       if (!found)
-                           ede_fatal("unknown app '", name, "'");
+                       opt.apps.push_back(
+                           fromName(kAllApps, appName, name, "app"));
                        pos = (comma == std::string::npos) ? comma
                                                           : comma + 1;
                    }
@@ -116,7 +108,7 @@ runnerOptions(const BenchOptions &opt)
     ro.jobs = opt.common.jobs;
     ro.cacheDir =
         opt.common.useCache ? opt.common.cacheDir : std::string();
-    applyIsolation(ro, opt.iso);
+    ro.isolation = opt.iso;
     return ro;
 }
 

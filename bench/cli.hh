@@ -17,8 +17,8 @@
  *
  * CommonOptions + addCommonFlags cover the experiment-layer options
  * (--jobs / --json / --cache-dir / --no-cache) shared by the sweep
- * benches; IsolationOptions + addIsolationFlags cover the
- * process-isolation backend (--isolate / --timeout-ms / ... /
+ * benches; addIsolationFlags fills an exp::Isolation from the
+ * process-isolation flags (--isolate / --timeout-ms / ... /
  * --journal / --resume).
  */
 
@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/runner.hh"
+#include "exp/worker.hh"
 #include "sim/session.hh"
 
 namespace ede {
@@ -460,19 +460,9 @@ applyOverload(traffic::TrafficPlan &plan, const OverloadOptions &o)
     }
 }
 
-/** Process-isolation options shared by the sweeping drivers. */
-struct IsolationOptions
-{
-    bool isolate = false;      ///< Fork one worker per cell.
-    exp::WorkerLimits limits;  ///< Per-job timeout / memory cap.
-    exp::RetryPolicy retry;    ///< Transient-failure retry policy.
-    std::string journalPath;   ///< Empty = no sweep journal.
-    bool resume = false;       ///< Replay a compatible journal.
-};
-
 /** Register --isolate / --timeout-ms / ... / --resume on @p cli. */
 inline void
-addIsolationFlags(Cli &cli, IsolationOptions &opt)
+addIsolationFlags(Cli &cli, exp::Isolation &opt)
 {
     cli.toggle("--isolate",
                "run each cell in a forked worker process; crashes, "
@@ -508,18 +498,6 @@ addIsolationFlags(Cli &cli, IsolationOptions &opt)
                 "replay compatible cells from the --journal instead "
                 "of re-running them",
                 [&opt] { opt.resume = true; });
-}
-
-/** Fold @p iso into runner options (mode, limits, journal). */
-inline void
-applyIsolation(exp::RunnerOptions &ro, const IsolationOptions &iso)
-{
-    ro.isolation = iso.isolate ? exp::IsolationMode::Process
-                               : exp::IsolationMode::None;
-    ro.limits = iso.limits;
-    ro.retry = iso.retry;
-    ro.journalPath = iso.journalPath;
-    ro.resume = iso.resume;
 }
 
 /**

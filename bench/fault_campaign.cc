@@ -63,8 +63,6 @@ main(int argc, char **argv)
     ConcCampaignOptions conc;
     bool useConc = false;
     std::string jsonPath;
-    std::string chaosCrashConfig;
-    IsolationOptions iso;
     Cli cli("fault_campaign");
     cli.value("--seed", "N", "campaign RNG seed",
               [&](const std::string &v) { options.seed = toU64(v); })
@@ -103,7 +101,9 @@ main(int argc, char **argv)
         .value("--chaos-crash-config", "NAME",
                "chaos hook: this configuration's isolated worker "
                "calls abort() (CI/testing only)",
-               [&](const std::string &v) { chaosCrashConfig = v; })
+               [&](const std::string &v) {
+                   options.isolation.chaosLabel = v;
+               })
         .value("--conc", "NAME",
                "concurrent kernel (msqueue / rwlock / rcu): run the "
                "multi-core campaign instead of the single-app one",
@@ -132,15 +132,8 @@ main(int argc, char **argv)
                [&](const std::string &v) {
                    conc.mediaFactor = toUnsigned(v);
                });
-    addIsolationFlags(cli, iso);
+    addIsolationFlags(cli, options.isolation);
     cli.parse(argc, argv);
-
-    options.isolate = iso.isolate;
-    options.limits = iso.limits;
-    options.retry = iso.retry;
-    options.journalPath = iso.journalPath;
-    options.resume = iso.resume;
-    options.chaosCrashConfig = chaosCrashConfig;
 
     if (useConc) {
         // Shared flags were parsed into the single-app options;
@@ -149,12 +142,7 @@ main(int argc, char **argv)
         conc.pointsPerConfig = options.pointsPerConfig;
         conc.acceptFaultRate = options.acceptFaultRate;
         conc.jobs = options.jobs;
-        conc.isolate = options.isolate;
-        conc.limits = options.limits;
-        conc.retry = options.retry;
-        conc.journalPath = options.journalPath;
-        conc.resume = options.resume;
-        conc.chaosCrashConfig = options.chaosCrashConfig;
+        conc.isolation = options.isolation;
 
         ConcCampaignReport report;
         try {

@@ -64,7 +64,6 @@ main(int argc, char **argv)
     bool useConc = false;
     std::string jsonPath;
     std::vector<Config> configs;
-    IsolationOptions iso;
     Cli cli("model_check");
     cli.value("--app", "NAME", "workload application",
               [&](const std::string &v) {
@@ -129,7 +128,7 @@ main(int argc, char **argv)
                "chaos hook: this configuration's isolated worker "
                "calls abort() (CI/testing only)",
                [&](const std::string &v) {
-                   options.chaosCrashConfig = v;
+                   options.isolation.chaosLabel = v;
                })
         .value("--conc", "NAME",
                "concurrent kernel (msqueue / rwlock / rcu): run the "
@@ -159,16 +158,11 @@ main(int argc, char **argv)
                [&](const std::string &v) {
                    conc.mediaFactor = toUnsigned(v);
                });
-    addIsolationFlags(cli, iso);
+    addIsolationFlags(cli, options.isolation);
     cli.parse(argc, argv);
 
     if (!configs.empty())
         options.configs = configs;
-    options.isolate = iso.isolate;
-    options.limits = iso.limits;
-    options.retry = iso.retry;
-    options.journalPath = iso.journalPath;
-    options.resume = iso.resume;
 
     bool ok = false;
     std::string json;
@@ -185,12 +179,7 @@ main(int argc, char **argv)
         conc.torn = options.torn;
         conc.seedBug = options.seedBug;
         conc.jobs = options.jobs;
-        conc.isolate = options.isolate;
-        conc.limits = options.limits;
-        conc.retry = options.retry;
-        conc.journalPath = options.journalPath;
-        conc.resume = options.resume;
-        conc.chaosCrashConfig = options.chaosCrashConfig;
+        conc.isolation = options.isolation;
 
         const ConcCheckReport report = runConcCheck(conc);
         std::fputs(report.describe().c_str(), stdout);

@@ -75,20 +75,17 @@ main(int argc, char **argv)
                "chaos hook: this program's isolated worker calls "
                "abort() (CI/testing only)",
                [&](const std::string &v) {
-                   options.chaosCrashIndex = toU64(v);
+                   options.isolation.chaosLabel = std::to_string(toU64(v));
                });
-    IsolationOptions iso;
-    addIsolationFlags(cli, iso);
+    addIsolationFlags(cli, options.isolation);
     cli.parse(argc, argv);
 
-    if (!iso.journalPath.empty() || iso.resume) {
+    if (!options.isolation.journalPath.empty() ||
+        options.isolation.resume) {
         std::fprintf(stderr, "verify_fuzz: --journal/--resume are not "
                              "supported here (use fault_campaign)\n");
         return 2;
     }
-    options.isolate = iso.isolate;
-    options.limits = iso.limits;
-    options.retry = iso.retry;
 
     const FuzzReport report = runVerifyFuzz(options);
     std::fputs(report.describe().c_str(), stdout);

@@ -41,7 +41,7 @@ struct ExperimentCell
      * Quarantined: the isolated worker for this cell failed
      * terminally (crash, timeout, OOM, SimFault after the retry
      * budget).  `result` is empty; `failure` carries the typed
-     * record.  Only a keep-going isolated run produces these.
+     * record.  Only an isolated run produces these.
      */
     bool failed = false;
     JobFailure failure;

@@ -1,7 +1,6 @@
 #include "exp/runner.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 
 #include "apps/concurrent.hh"
@@ -9,7 +8,6 @@
 #include "common/logging.hh"
 #include "sim/session.hh"
 #include "exp/fingerprint.hh"
-#include "exp/journal.hh"
 #include "exp/result_cache.hh"
 #include "exp/scheduler.hh"
 
@@ -18,12 +16,6 @@ namespace exp {
 
 namespace {
 
-/**
- * Simulate one plan point.  Shared verbatim by the in-process path
- * and the forked worker, so isolated results are bit-identical to
- * inline ones.  @p checked selects SimFaultError over panic on a
- * structured simulator abort.
- */
 /**
  * Simulate one concurrent-kernel point (bench/fig_scaling): N
  * lock-step cores running buildConcurrentTraces through a Session.
@@ -94,6 +86,12 @@ simulateTrafficCell(const ExperimentPoint &point, std::uint64_t fp,
     return cell;
 }
 
+/**
+ * Simulate one plan point.  Shared verbatim by the in-process path
+ * and the forked worker, so isolated results are bit-identical to
+ * inline ones.  @p checked selects SimFaultError over panic on a
+ * structured simulator abort.
+ */
 ExperimentCell
 simulateCell(const ExperimentPoint &point, std::uint64_t fp,
              bool checked)
@@ -146,112 +144,70 @@ planSweepId(const ExperimentPlan &plan)
 ExperimentResults
 runPlan(const ExperimentPlan &plan, const RunnerOptions &options)
 {
-    const bool isolated = options.isolation == IsolationMode::Process;
-    if (isolated && !processIsolationSupported())
-        ede_fatal("process isolation is not supported on this platform");
-    if (!options.journalPath.empty() && !isolated) {
-        ede_fatal("the sweep journal requires process isolation "
-                  "(--isolate)");
-    }
+    const Isolation &iso = options.isolation;
+    iso.requireIsolatedJournal("sweep");
 
     const Scheduler sched(options.jobs);
     std::optional<ResultCache> cache;
     if (!options.cacheDir.empty())
         cache.emplace(options.cacheDir);
-    std::optional<SweepJournal> journal;
-    if (!options.journalPath.empty()) {
-        journal.emplace(options.journalPath, planSweepId(plan),
-                        plan.size(), options.resume);
-    }
 
+    const std::vector<ExperimentPoint> &points = plan.points();
     std::vector<ExperimentCell> cells(plan.size());
-    auto runIndex = [&](std::size_t i) {
-        const ExperimentPoint &point = plan.points()[i];
-        const std::uint64_t fp = fingerprintPoint(point);
-
-        if (journal && options.resume) {
-            const auto it = journal->replayed().find(i);
-            if (it != journal->replayed().end() &&
-                it->second.fingerprint == fp) {
-                const JournalEntry &e = it->second;
-                if (e.ok) {
-                    if (std::optional<ExperimentCell> cell =
-                            deserializeCell(e.payload, point, fp)) {
-                        cell->fromCache = false;
-                        cell->fromJournal = true;
-                        cells[i] = std::move(*cell);
-                        return;
-                    }
-                    // Corrupt payload: fall through and re-run.
-                } else {
-                    cells[i] = quarantinedCell(point, fp, e.failure);
-                    return;
-                }
-            }
-        }
-
-        if (cache) {
-            if (std::optional<ExperimentCell> hit =
-                    cache->load(point, fp)) {
-                if (journal)
-                    journal->recordOk(i, fp, serializeCell(*hit));
-                cells[i] = std::move(*hit);
+    // Fill cell i from the cache; false on a miss.
+    auto cached = [&](std::size_t i, std::uint64_t fp) {
+        std::optional<ExperimentCell> hit =
+            cache ? cache->load(points[i], fp) : std::nullopt;
+        if (hit)
+            cells[i] = std::move(*hit);
+        return hit.has_value();
+    };
+    if (!iso.isolate) {
+        // First failure (lowest index) propagates after in-flight
+        // jobs drain.
+        sched.parallelFor(plan.size(), [&](std::size_t i) {
+            const std::uint64_t fp = fingerprintPoint(points[i]);
+            if (cached(i, fp))
                 return;
-            }
-        }
-
-        if (!isolated) {
-            cells[i] = simulateCell(point, fp, /*checked=*/false);
+            cells[i] = simulateCell(points[i], fp, /*checked=*/false);
             if (cache)
                 cache->store(cells[i]);
-            return;
-        }
-
-        const WorkerRun run = runWithRetry(
-            [&]() -> std::string {
-                if (!options.chaosCrashLabel.empty() &&
-                    point.label == options.chaosCrashLabel) {
-                    std::abort();
-                }
-                return serializeCell(
-                    simulateCell(point, fp, /*checked=*/true));
-            },
-            options.limits, options.retry, /*jitterSeed=*/fp);
-
-        if (run.ok()) {
-            if (std::optional<ExperimentCell> cell =
-                    deserializeCell(run.payload, point, fp)) {
-                cell->fromCache = false;
-                cells[i] = std::move(*cell);
-                if (cache)
-                    cache->store(cells[i]);
-                if (journal)
-                    journal->recordOk(i, fp, run.payload);
-                return;
-            }
-            JobFailure protocol;
-            protocol.outcome = JobOutcome::Crashed;
-            protocol.attempts = run.failure.attempts;
-            protocol.message =
-                "worker payload failed snapshot validation";
-            cells[i] = quarantinedCell(point, fp, protocol);
-        } else {
-            ede_warn("cell '", point.label, "' quarantined: ",
-                     run.failure.describe());
-            cells[i] = quarantinedCell(point, fp, run.failure);
-        }
-        if (journal)
-            journal->recordQuarantine(i, fp, cells[i].failure);
-    };
-
-    if (isolated) {
-        // Failures are classified into the cells themselves; a job
-        // never throws, so every cell always lands.
-        sched.run(plan.size(), runIndex, FailureMode::KeepGoing);
+        });
     } else {
-        // The historical contract: first failure (lowest index)
-        // propagates after in-flight jobs drain.
-        sched.parallelFor(plan.size(), runIndex);
+        IsolatedSweep sweep("cell", "snapshot", planSweepId(plan));
+        for (const ExperimentPoint &point : points)
+            sweep.jobs.push_back({point.label, fingerprintPoint(point)});
+        sweep.work = [&](std::size_t i) {
+            return serializeCell(simulateCell(
+                points[i], sweep.jobs[i].fingerprint, /*checked=*/true));
+        };
+        sweep.accept = [&](std::size_t i, const std::string &payload,
+                           bool replayed) {
+            std::optional<ExperimentCell> cell = deserializeCell(
+                payload, points[i], sweep.jobs[i].fingerprint);
+            if (!cell)
+                return false;
+            cell->fromCache = false;
+            cell->fromJournal = replayed;
+            cells[i] = std::move(*cell);
+            if (cache && !replayed)
+                cache->store(cells[i]);
+            return true;
+        };
+        sweep.local = [&](std::size_t i) -> std::optional<std::string> {
+            if (!cached(i, sweep.jobs[i].fingerprint))
+                return std::nullopt;
+            return serializeCell(cells[i]);
+        };
+        std::vector<std::optional<JobFailure>> failures =
+            runIsolated(sweep, iso, options.jobs);
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            if (failures[i]) {
+                cells[i] = quarantinedCell(points[i],
+                                           sweep.jobs[i].fingerprint,
+                                           std::move(*failures[i]));
+            }
+        }
     }
 
     ExperimentResults results(std::move(cells));
@@ -263,7 +219,7 @@ runPlan(const ExperimentPlan &plan, const RunnerOptions &options)
                     results.failures().size(), sched.jobs(),
                     cache ? (", cache=" + cache->dir()).c_str()
                           : ", cache off",
-                    isolated ? ", isolated" : "");
+                    iso.isolate ? ", isolated" : "");
         for (const ExperimentCell *f : results.failures()) {
             std::printf("[exp] quarantined '%s': %s\n",
                         f->point.label.c_str(),

@@ -8,17 +8,18 @@
  * Results come back in plan order, so `jobs=N` is bit-identical to
  * `jobs=1` and a warm cache is bit-identical to a cold one.
  *
- * With IsolationMode::Process each miss is executed in a forked
- * worker (exp/worker.hh) bounded by a wall-clock timeout and an
- * address-space cap; a crash, hang, OOM or structured SimError in
- * one cell is classified, retried per the transient-failure policy,
- * and finally *quarantined* -- the sweep still completes, the
- * surviving cells are bit-identical to a non-isolated run, and the
- * quarantined cells are reported in ExperimentResults::failures().
- * A sweep journal (exp/journal.hh) makes the run resumable: every
- * durable cell (fresh, cached or quarantined) is appended as it
- * lands, and `resume` replays compatible records so a SIGKILLed
- * campaign picks up from the last durable cell.
+ * With `isolation.isolate` the plan runs through exp::runIsolated:
+ * each miss is executed in a forked worker bounded by a wall-clock
+ * timeout and an address-space cap; a crash, hang, OOM or structured
+ * SimError in one cell is classified, retried per the
+ * transient-failure policy, and finally *quarantined* -- the sweep
+ * still completes, the surviving cells are bit-identical to a
+ * non-isolated run, and the quarantined cells are reported in
+ * ExperimentResults::failures().  A sweep journal (exp/journal.hh)
+ * makes the run resumable: every durable cell (fresh, cached or
+ * quarantined) is appended as it lands, and `resume` replays
+ * compatible records so a SIGKILLed campaign picks up from the last
+ * durable cell.
  */
 
 #ifndef EDE_EXP_RUNNER_HH
@@ -33,13 +34,6 @@
 namespace ede {
 namespace exp {
 
-/** Where a plan point's simulation executes. */
-enum class IsolationMode
-{
-    None,    ///< In-process, on a scheduler thread (the old path).
-    Process, ///< Forked worker per cell; failures are classified.
-};
-
 /** How to execute a plan. */
 struct RunnerOptions
 {
@@ -52,31 +46,8 @@ struct RunnerOptions
     /** Print the one-line `[exp] ...` run summary on completion. */
     bool printSummary = true;
 
-    /** Execution backend for cache misses. */
-    IsolationMode isolation = IsolationMode::None;
-
-    /** Per-job resource bounds (Process isolation only). */
-    WorkerLimits limits;
-
-    /** Transient-failure retry/backoff policy (Process only). */
-    RetryPolicy retry;
-
-    /**
-     * Sweep-journal path; empty disables journaling.  Requires
-     * Process isolation (the journal records classified outcomes).
-     */
-    std::string journalPath;
-
-    /** Replay a compatible journal instead of re-running its cells. */
-    bool resume = false;
-
-    /**
-     * Test/chaos hook: a point whose label equals this calls abort()
-     * inside its isolated worker before simulating -- the way tests
-     * and the CI chaos job provoke a deterministic poison cell.
-     * Ignored (never aborts the sweep) without Process isolation.
-     */
-    std::string chaosCrashLabel;
+    /** Forked workers, journal and chaos hook for cache misses. */
+    Isolation isolation;
 };
 
 /** Execute every point of @p plan. */

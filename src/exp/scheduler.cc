@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
+#include <exception>
 #include <mutex>
 #include <thread>
 
@@ -21,33 +21,22 @@ Scheduler::Scheduler(unsigned jobs)
 {
 }
 
-RunReport
-Scheduler::run(std::size_t n,
-               const std::function<void(std::size_t)> &fn,
-               FailureMode mode) const
+void
+Scheduler::parallelFor(std::size_t n,
+                       const std::function<void(std::size_t)> &fn) const
 {
-    RunReport report;
-    if (n == 0)
-        return report;
-
-    if (jobs_ <= 1 || n == 1) {
+    if (jobs_ <= 1 || n <= 1) {
         // Serial path: index order, no worker threads.
-        for (std::size_t i = 0; i < n; ++i) {
-            try {
-                fn(i);
-                report.completed.push_back(i);
-            } catch (...) {
-                report.errors.push_back({i, std::current_exception()});
-                if (mode == FailureMode::StopOnFirstError)
-                    break;
-            }
-        }
-        return report;
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
     }
 
     std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
-    std::mutex report_mutex;
+    std::mutex error_mutex;
+    std::size_t error_index = n;
+    std::exception_ptr error;
 
     // Workers start together once the pool exists.  A job may fork(),
     // and a fork racing this thread's allocations while it spawns the
@@ -58,22 +47,22 @@ Scheduler::run(std::size_t n,
     auto worker = [&]() {
         while (!started.load(std::memory_order_acquire))
             std::this_thread::yield();
-        for (;;) {
-            if (mode == FailureMode::StopOnFirstError &&
-                failed.load(std::memory_order_relaxed)) {
-                return;  // Drain: no new jobs after a failure.
-            }
+        // Drain: no new jobs after a failure.
+        while (!failed.load(std::memory_order_relaxed)) {
             const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
             if (i >= n)
                 return;
             try {
                 fn(i);
-                std::lock_guard<std::mutex> lock(report_mutex);
-                report.completed.push_back(i);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(report_mutex);
-                report.errors.push_back({i, std::current_exception()});
+                std::lock_guard<std::mutex> lock(error_mutex);
+                // Lowest index, so the rethrow is deterministic
+                // regardless of worker interleaving.
+                if (i < error_index) {
+                    error_index = i;
+                    error = std::current_exception();
+                }
                 failed.store(true, std::memory_order_relaxed);
             }
         }
@@ -88,25 +77,8 @@ Scheduler::run(std::size_t n,
     for (std::thread &t : pool)
         t.join();
 
-    // Deterministic report regardless of worker interleaving.
-    std::sort(report.completed.begin(), report.completed.end());
-    std::sort(report.errors.begin(), report.errors.end(),
-              [](const JobError &a, const JobError &b) {
-                  return a.index < b.index;
-              });
-    return report;
-}
-
-void
-Scheduler::parallelFor(std::size_t n,
-                       const std::function<void(std::size_t)> &fn) const
-{
-    const RunReport report =
-        run(n, fn, FailureMode::StopOnFirstError);
-    // Lowest-index exception, so the rethrow is deterministic
-    // regardless of worker interleaving.
-    if (!report.ok())
-        std::rethrow_exception(report.errors.front().error);
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace exp

@@ -9,18 +9,10 @@
  * index, never by completion order, so `jobs=8` is bit-identical to
  * `jobs=1`.
  *
- * Failure semantics are explicit via FailureMode:
- *
- *  - StopOnFirstError (parallelFor's behaviour): once a job throws,
- *    no *new* jobs start; in-flight jobs drain, and the lowest-index
- *    captured exception is rethrown on the calling thread.  The
- *    indices of jobs that *did* complete are no longer discarded --
- *    run() surfaces them in its RunReport, so a caller can keep the
- *    finished work (the keep-going runner policy is built on this).
- *
- *  - KeepGoing: every job runs regardless of failures; the report
- *    carries every completed index and every captured error, sorted
- *    by index.  Nothing is rethrown.
+ * A job that throws stops the sweep: no *new* jobs start, in-flight
+ * jobs drain, and the lowest-index captured exception is rethrown on
+ * the calling thread.  Jobs that must not end the sweep classify
+ * their own failures (exp::runIsolated).
  *
  * With jobs=1 everything runs inline on the calling thread in index
  * order -- exactly the old serial behaviour.
@@ -30,36 +22,12 @@
 #define EDE_EXP_SCHEDULER_HH
 
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <optional>
 #include <vector>
 
 namespace ede {
 namespace exp {
-
-/** What the scheduler does when a job throws. */
-enum class FailureMode
-{
-    StopOnFirstError, ///< Drain in-flight jobs, start nothing new.
-    KeepGoing,        ///< Run every job; collect all errors.
-};
-
-/** One captured job exception. */
-struct JobError
-{
-    std::size_t index = 0;
-    std::exception_ptr error;
-};
-
-/** What a run() call completed and what it failed. */
-struct RunReport
-{
-    std::vector<std::size_t> completed; ///< Sorted finished indices.
-    std::vector<JobError> errors;       ///< Sorted by index.
-
-    bool ok() const { return errors.empty(); }
-};
 
 /** Runs index-addressed jobs across a bounded set of worker threads. */
 class Scheduler
@@ -76,21 +44,11 @@ class Scheduler
 
     /**
      * Run fn(0) .. fn(n-1), each exactly once, across the workers.
-     * Blocks until all started jobs finish; rethrows the
-     * lowest-index captured exception, if any.  Callers that must
-     * not lose completed work on a failure use run() instead.
+     * Once a job throws no new job starts; blocks until the started
+     * jobs finish, then rethrows the lowest-index captured exception.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &fn) const;
-
-    /**
-     * As parallelFor, but never throws: returns the completed
-     * indices and every captured error (per @p mode's policy on
-     * whether jobs keep starting after the first failure).
-     */
-    RunReport run(std::size_t n,
-                  const std::function<void(std::size_t)> &fn,
-                  FailureMode mode) const;
 
     /**
      * As parallelFor, collecting fn(i) into slot i of the returned

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <new>
 #include <sstream>
@@ -16,7 +17,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/logging.hh"
 #include "common/random.hh"
+#include "exp/journal.hh"
+#include "exp/scheduler.hh"
 #include "sim/session.hh"
 
 namespace ede {
@@ -165,22 +169,6 @@ outcomeIsTransient(JobOutcome outcome)
            outcome == JobOutcome::OutOfMemory;
 }
 
-bool
-forkSafeAllocator()
-{
-    return !kSanitized;
-}
-
-bool
-processIsolationSupported()
-{
-#if defined(__unix__) || defined(__APPLE__)
-    return true;
-#else
-    return false;
-#endif
-}
-
 std::string
 JobFailure::describe() const
 {
@@ -201,8 +189,8 @@ JobFailure::describe() const
 }
 
 WorkerRun
-runInProcess(const std::function<std::string()> &job,
-             const WorkerLimits &limits)
+runForked(const std::function<std::string()> &job,
+          const WorkerLimits &limits)
 {
     WorkerRun run;
     int payload_pipe[2];
@@ -351,7 +339,7 @@ runWithRetry(const std::function<std::string()> &job,
     Rng rng(jitterSeed ^ 0xa5a5a5a5deadbeefull);
     WorkerRun run;
     for (unsigned attempt = 1;; ++attempt) {
-        run = runInProcess(job, limits);
+        run = runForked(job, limits);
         run.failure.attempts = attempt;
         if (run.ok() || !outcomeIsTransient(run.outcome) ||
             attempt >= attempts) {
@@ -371,6 +359,84 @@ runWithRetry(const std::function<std::string()> &job,
                 std::chrono::milliseconds(delay));
         }
     }
+}
+
+void
+Isolation::requireIsolatedJournal(const char *sweep) const
+{
+    if (!journalPath.empty() && !isolate) {
+        ede_fatal("the ", sweep,
+                  " journal requires process isolation (--isolate)");
+    }
+}
+
+std::vector<std::optional<JobFailure>>
+runIsolated(const IsolatedSweep &sweep, const Isolation &iso,
+            unsigned threads)
+{
+    const std::size_t n = sweep.jobs.size();
+    std::optional<SweepJournal> journal;
+    if (!iso.journalPath.empty())
+        journal.emplace(iso.journalPath, sweep.sweepId, n, iso.resume);
+
+    std::vector<std::optional<JobFailure>> failures(n);
+    auto runJob = [&](std::size_t i) {
+        const IsolatedJob &job = sweep.jobs[i];
+
+        if (journal && iso.resume) {
+            const auto it = journal->replayed().find(i);
+            if (it != journal->replayed().end() &&
+                it->second.fingerprint == job.fingerprint) {
+                const JournalEntry &e = it->second;
+                if (!e.ok) {
+                    failures[i] = e.failure;
+                    return;
+                }
+                if (sweep.accept(i, e.payload, /*replayed=*/true))
+                    return;
+                // Corrupt payload: fall through and re-run.
+            }
+        }
+
+        if (const std::optional<std::string> payload =
+                sweep.local ? sweep.local(i) : std::nullopt) {
+            if (journal)
+                journal->recordOk(i, job.fingerprint, *payload);
+            return;
+        }
+
+        const WorkerRun run = runWithRetry(
+            [&]() -> std::string {
+                if (!iso.chaosLabel.empty() && job.label == iso.chaosLabel)
+                    std::abort();
+                return sweep.work(i);
+            },
+            iso.limits, iso.retry, /*jitterSeed=*/job.fingerprint);
+
+        if (run.ok() && sweep.accept(i, run.payload, /*replayed=*/false)) {
+            if (journal)
+                journal->recordOk(i, job.fingerprint, run.payload);
+            return;
+        }
+        JobFailure failure = run.failure;
+        if (run.ok()) {
+            failure = JobFailure{};
+            failure.attempts = run.failure.attempts;
+            failure.message = std::string("worker payload failed ") +
+                              sweep.validation + " validation";
+        }
+        ede_warn(sweep.noun, " '", job.label, "' quarantined: ",
+                 failure.describe());
+        if (journal)
+            journal->recordQuarantine(i, job.fingerprint, failure);
+        failures[i] = std::move(failure);
+    };
+
+    // A sanitizer's allocator takes no locks around fork(): a worker
+    // forked while another thread is inside it can block forever on a
+    // lock no thread will release.  Such a build forks from one thread.
+    Scheduler(kSanitized ? 1 : threads).parallelFor(n, runJob);
+    return failures;
 }
 
 } // namespace exp

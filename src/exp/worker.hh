@@ -5,7 +5,7 @@
  * A sweep cell that calls abort(), trips an ASan report, leaks until
  * the OOM killer fires, or hangs past the watchdog used to take the
  * whole campaign down with it, discarding every completed result.
- * runInProcess() gives each job the isolation of a real job system:
+ * runForked() gives each job the isolation of a real job system:
  * the job runs in a forked child bounded by a wall-clock timeout and
  * an address-space cap, serializes its result string back over a
  * pipe, and any failure is *classified* -- Crashed (signal or bad
@@ -20,6 +20,11 @@
  * a quarantinable failure record.  SimFault is never retried -- a
  * structured simulator abort is deterministic in the inputs.
  *
+ * runIsolated() is the whole isolation contract of a sweep (DESIGN.md
+ * §11), and the only code that forks sweep jobs: journal replay, the
+ * retried worker, quarantine and the journal record, for the exp
+ * runner, the crash-consistency sweeps and the fuzz campaign alike.
+ *
  * The fork re-enters the in-process job closure directly (no exec, so
  * arbitrary plan points need no argv serialization); the child exits
  * only through _exit(), never running the parent's atexit chain.
@@ -30,7 +35,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/fields.hh"
 
@@ -116,27 +123,16 @@ struct RetryPolicy
  */
 bool outcomeIsTransient(JobOutcome outcome);
 
-/** True when this platform supports process isolation (POSIX fork). */
-bool processIsolationSupported();
-
-/**
- * False in a sanitizer build.  Its allocator takes no locks around
- * fork(), so a worker forked while another thread is inside the
- * allocator can block forever on a lock no thread will release; such
- * a build forks workers from one thread at a time.
- */
-bool forkSafeAllocator();
-
 /**
  * Run @p job once in a forked child under @p limits.  The child's
  * return string comes back as the payload; any failure is classified
  * into a JobFailure with the child's stderr tail attached.
  */
-WorkerRun runInProcess(const std::function<std::string()> &job,
-                       const WorkerLimits &limits);
+WorkerRun runForked(const std::function<std::string()> &job,
+                    const WorkerLimits &limits);
 
 /**
- * runInProcess with the retry policy applied: transient failures are
+ * runForked with the retry policy applied: transient failures are
  * re-executed up to @p retry.maxAttempts times with exponential
  * backoff and jitter drawn deterministically from @p jitterSeed, so
  * two runs of the same sweep sleep identically.  The returned
@@ -146,6 +142,73 @@ WorkerRun runWithRetry(const std::function<std::string()> &job,
                        const WorkerLimits &limits,
                        const RetryPolicy &retry,
                        std::uint64_t jitterSeed);
+
+/** How a sweep isolates its jobs; never part of its identity. */
+struct Isolation
+{
+    bool isolate = false;     ///< Fork one worker per job.
+    WorkerLimits limits;      ///< Per-job bounds.
+    RetryPolicy retry;        ///< Transient-failure retries.
+    std::string journalPath;  ///< Empty = no journal; needs isolate.
+    bool resume = false;      ///< Replay a compatible journal.
+
+    /**
+     * Test/chaos hook: the job with this label (a plan point's label,
+     * a configuration's name, a fuzz program's index) calls abort()
+     * inside its worker.  Empty disables it.
+     */
+    std::string chaosLabel;
+
+    /** Fatal when a journal is requested without `isolate`. */
+    void requireIsolatedJournal(const char *sweep) const;
+};
+
+/** One job of an isolated sweep. */
+struct IsolatedJob
+{
+    std::string label;         ///< Names the job; chaosLabel matches it.
+    std::uint64_t fingerprint; ///< Journal identity; seeds the jitter.
+};
+
+/** A sweep as runIsolated runs it. */
+struct IsolatedSweep
+{
+    IsolatedSweep(const char *noun, const char *validation,
+                  std::uint64_t sweepId)
+        : noun(noun), validation(validation), sweepId(sweepId)
+    {
+    }
+
+    const char *noun;        ///< Names a job in warnings: "cell".
+    const char *validation;  ///< "worker payload failed <...> validation".
+    std::uint64_t sweepId;   ///< The journal header's identity.
+    std::vector<IsolatedJob> jobs;
+
+    /** The worker: job i's wire payload. */
+    std::function<std::string(std::size_t)> work;
+
+    /** Take job i's payload (journal or worker); false if malformed. */
+    std::function<bool(std::size_t, const std::string &, bool replayed)>
+        accept;
+
+    /** Optional: job i's payload when the parent holds it (a cache hit). */
+    std::function<std::optional<std::string>(std::size_t)> local;
+};
+
+/**
+ * Run every job of @p sweep under @p iso on @p threads threads (0 =
+ * hardware concurrency; one in a sanitizer build).  Per job: replay a
+ * compatible journal record (a replayed quarantine is final; a
+ * payload `accept` refuses is re-run), else take the parent's `local`
+ * payload, else run `work` in a forked worker under the retry policy.
+ * What lands is journaled; a failure or a malformed payload is
+ * quarantined with one warning.
+ *
+ * @return per job, its quarantine record, or nullopt.
+ */
+std::vector<std::optional<JobFailure>>
+runIsolated(const IsolatedSweep &sweep, const Isolation &iso,
+            unsigned threads);
 
 } // namespace exp
 } // namespace ede

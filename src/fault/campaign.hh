@@ -141,27 +141,11 @@ struct CampaignOptions
      * CampaignConfigResult back; a crash/hang/OOM quarantines that
      * configuration instead of killing the campaign.  Results are
      * bit-identical to the in-process path (the serialization is
-     * exact).
+     * exact).  With a journal, configs already journaled by a
+     * compatible run are replayed on `resume` instead of
+     * re-simulated.  `chaosLabel` names a configuration.
      */
-    bool isolate = false;
-
-    exp::WorkerLimits limits;  ///< Per-config bounds (isolate only).
-    exp::RetryPolicy retry;    ///< Transient-failure retries.
-
-    /**
-     * Append-only journal of per-config outcomes; empty disables it.
-     * With `resume`, configs already journaled by a compatible run
-     * are replayed instead of re-simulated.  Requires `isolate`.
-     */
-    std::string journalPath;
-    bool resume = false;
-
-    /**
-     * Test/chaos hook: the configuration with this name calls
-     * abort() inside its isolated worker -- how tests and the CI
-     * chaos job provoke a deterministic quarantine.
-     */
-    std::string chaosCrashConfig;
+    exp::Isolation isolation;
 };
 
 /** The campaign's identity: isolation and job count never change it. */

@@ -130,15 +130,8 @@ struct ConcCampaignOptions
                                 kAllConfigs.end()};
     unsigned jobs = 1;
 
-    /** @name Process isolation (same contract as CampaignOptions). */
-    /// @{
-    bool isolate = false;
-    exp::WorkerLimits limits;
-    exp::RetryPolicy retry;
-    std::string journalPath;  ///< Requires isolate; empty disables.
-    bool resume = false;
-    std::string chaosCrashConfig;  ///< Worker abort() hook (tests/CI).
-    /// @}
+    /** Process isolation (same contract as CampaignOptions). */
+    exp::Isolation isolation;
 };
 
 /** The campaign's identity: isolation and job count never change it. */

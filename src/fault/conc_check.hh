@@ -163,15 +163,8 @@ struct ConcCheckOptions
     std::size_t maxCounterexamples = 4;
     unsigned jobs = 1;
 
-    /** @name Process isolation (same contract as CampaignOptions). */
-    /// @{
-    bool isolate = false;
-    exp::WorkerLimits limits;
-    exp::RetryPolicy retry;
-    std::string journalPath;  ///< Requires isolate; empty disables.
-    bool resume = false;
-    std::string chaosCrashConfig;  ///< Worker abort() hook (tests/CI).
-    /// @}
+    /** Process isolation (same contract as CampaignOptions). */
+    exp::Isolation isolation;
 };
 
 /** The check's identity: isolation and job count never change it. */

@@ -3,15 +3,15 @@
  * The per-configuration sweep every crash-consistency driver runs.
  *
  * The fault campaign, the model checker and their N-core forms each
- * run one self-contained job per Table III configuration under one
- * isolation contract (DESIGN.md §11): with `isolate`, every
- * configuration runs in a forked worker that ships its exact wire
- * payload back; an optional journal records each payload as it lands,
- * so an interrupted sweep resumes byte-identically; and a
- * configuration whose worker keeps failing is quarantined instead of
- * ending the sweep.  runConfigSweep implements that contract once --
- * a driver supplies its name, payload decoder, worker job and
- * in-process path.
+ * run one self-contained job per Table III configuration under the
+ * isolation contract of exp::runIsolated (DESIGN.md §11): with
+ * `isolate`, every configuration runs in a forked worker that ships
+ * its exact wire payload back; an optional journal records each
+ * payload as it lands, so an interrupted sweep resumes
+ * byte-identically; and a configuration whose worker keeps failing is
+ * quarantined instead of ending the sweep.  runConfigSweep maps each
+ * campaign and checker onto it; each supplies only its name, payload
+ * decoder, worker job and in-process path.
  *
  * The helpers the drivers share live here too.
  */
@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
 #include "exp/worker.hh"
 #include "sim/config.hh"
 
@@ -62,36 +61,12 @@ struct SweepKind
     const char *keyPrefix;   ///< Fingerprint keys <keyPrefix>.sweep/.config.
 };
 
-/** The isolation fields every driver's options carry. */
-struct SweepControl
-{
-    std::vector<Config> configs;
-    unsigned jobs = 1;
-    exp::WorkerLimits limits;
-    exp::RetryPolicy retry;
-    std::string journalPath;  ///< Empty disables the journal.
-    bool resume = false;
-    std::string chaosCrashConfig;  ///< Worker abort() hook (tests/CI).
-};
-
 /**
- * Run each of @p ctl.configs in a forked worker: replay a compatible
- * journal entry when resuming, else run @p work (the child: simulate
- * and check one configuration serially, return its wire payload)
- * under the retry policy, journal what lands and quarantine what
- * keeps failing.  @p accept decodes a replayed or fresh payload into
- * the caller's slot i and returns false when it is malformed or names
- * another configuration.
- *
- * @return per-configuration quarantine records; nullopt where
- *         @p accept took a payload.
+ * The journal identity of configuration @p cfg's job in sweep
+ * @p sweepId: the fingerprint keys <keyPrefix>.sweep and .config.
  */
-std::vector<std::optional<QuarantinedConfig>>
-runIsolatedConfigs(
-    const SweepKind &kind, std::uint64_t sweepId,
-    const SweepControl &ctl,
-    const std::function<std::string(Config)> &work,
-    const std::function<bool(std::size_t, const std::string &)> &accept);
+std::uint64_t configJobFingerprint(const char *keyPrefix,
+                                   std::uint64_t sweepId, Config cfg);
 
 /** The per-configuration result type of a driver's report. */
 template <class Report>
@@ -100,9 +75,10 @@ using SweepResult = typename decltype(Report::configs)::value_type;
 /**
  * One driver's whole sweep.  A journal without isolation is fatal;
  * without isolation @p inProcess produces every configuration's
- * result, otherwise runIsolatedConfigs does and @p decode turns each
- * payload back into a result.  The report lists the results, then
- * the quarantined configurations, each in configuration order.
+ * result, otherwise exp::runIsolated runs @p work per configuration
+ * and @p decode turns each payload back into a result.  The report
+ * lists the results, then the quarantined configurations, each in
+ * configuration order.
  */
 template <class Report>
 Report
@@ -114,36 +90,39 @@ runConfigSweep(
     const std::function<std::vector<SweepResult<Report>>()> &inProcess)
 {
     using Result = SweepResult<Report>;
-    if (!options.journalPath.empty() && !options.isolate) {
-        ede_fatal("the ", kind.name,
-                  " journal requires process isolation (--isolate)");
-    }
+    const exp::Isolation &iso = options.isolation;
+    iso.requireIsolatedJournal(kind.name);
     Report report;
     report.options = options;
-    if (!options.isolate) {
+    if (!iso.isolate) {
         report.configs = inProcess();
         return report;
     }
 
-    std::vector<std::optional<Result>> slots(options.configs.size());
-    std::vector<std::optional<QuarantinedConfig>> poisoned =
-        runIsolatedConfigs(
-            kind, sweepId,
-            {options.configs, options.jobs, options.limits,
-             options.retry, options.journalPath, options.resume,
-             options.chaosCrashConfig},
-            work, [&](std::size_t i, const std::string &payload) {
-                std::optional<Result> r = decode(payload);
-                if (!r || r->config != options.configs[i])
-                    return false;
-                slots[i] = std::move(r);
-                return true;
-            });
+    const std::vector<Config> &configs = options.configs;
+    std::vector<std::optional<Result>> slots(configs.size());
+    exp::IsolatedSweep sweep("config", kind.validation, sweepId);
+    for (Config cfg : configs) {
+        sweep.jobs.push_back(
+            {std::string(configName(cfg)),
+             configJobFingerprint(kind.keyPrefix, sweepId, cfg)});
+    }
+    sweep.work = [&](std::size_t i) { return work(configs[i]); };
+    sweep.accept = [&](std::size_t i, const std::string &payload, bool) {
+        std::optional<Result> r = decode(payload);
+        if (!r || r->config != configs[i])
+            return false;
+        slots[i] = std::move(r);
+        return true;
+    };
+    std::vector<std::optional<exp::JobFailure>> failures =
+        exp::runIsolated(sweep, iso, options.jobs);
     for (std::size_t i = 0; i < slots.size(); ++i) {
         if (slots[i])
             report.configs.push_back(std::move(*slots[i]));
-        else if (poisoned[i])
-            report.quarantined.push_back(std::move(*poisoned[i]));
+        else if (failures[i])
+            report.quarantined.push_back(
+                {configs[i], std::move(*failures[i])});
     }
     return report;
 }

@@ -16,12 +16,6 @@
 namespace ede {
 
 /**
- * What the core does when the runtime EDK stall analyzer concludes
- * that a dependence chain cannot resolve (a cycle through corrupted
- * EDM/srcID links, or a link to an instruction that no longer
- * exists).
- */
-/**
  * How CoreGroup::run advances simulated time.
  *
  * Both modes produce bit-identical cycle counts and CoreStats; the
@@ -48,6 +42,12 @@ const char *tickingModeName(TickingMode mode);
 /** Map Auto to the environment-selected concrete mode. */
 TickingMode resolveTickingMode(TickingMode mode);
 
+/**
+ * What the core does when the runtime EDK stall analyzer concludes
+ * that a dependence chain cannot resolve (a cycle through corrupted
+ * EDM/srcID links, or a link to an instruction that no longer
+ * exists).
+ */
 enum class EdkRecoveryMode
 {
     /** Stop the run with a structured EdkDependenceCycle SimError. */

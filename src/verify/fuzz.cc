@@ -766,54 +766,38 @@ FuzzReport::describe() const
 FuzzReport
 runVerifyFuzz(const FuzzOptions &options)
 {
-    if (options.isolate && !exp::processIsolationSupported())
-        ede_fatal("process isolation is not supported on this platform");
+    const exp::Isolation &iso = options.isolation;
+    if (!iso.journalPath.empty()) {
+        ede_fatal("the fuzz campaign cannot be journaled: it has no "
+                  "sweep identity");
+    }
 
-    exp::Scheduler sched(options.jobs);
     FuzzReport report;
-
     std::vector<std::optional<ProgResult>> slots(options.programs);
     std::vector<std::optional<exp::JobFailure>> poisoned(
         options.programs);
-    auto checkIndex = [&](std::size_t i) {
-        if (!options.isolate) {
-            slots[i] = checkProgram(i, options);
-            return;
-        }
-        const exp::WorkerRun run = exp::runWithRetry(
-            [&]() -> std::string {
-                if (i == options.chaosCrashIndex)
-                    std::abort();
-                return exp::toWire(kProgResultMagic,
-                                    checkProgram(i, options));
-            },
-            options.limits, options.retry,
-            /*jitterSeed=*/options.seed ^
-                ((i + 1) * 0x9e3779b97f4a7c15ull));
-        if (run.ok()) {
-            if (std::optional<ProgResult> r = exp::fromWire<ProgResult>(
-                    run.payload, kProgResultMagic)) {
-                slots[i] = std::move(*r);
-                return;
-            }
-            exp::JobFailure protocol;
-            protocol.outcome = exp::JobOutcome::Crashed;
-            protocol.attempts = run.failure.attempts;
-            protocol.message =
-                "worker payload failed fuzz-result validation";
-            poisoned[i] = std::move(protocol);
-        } else {
-            poisoned[i] = run.failure;
-        }
-        ede_warn("fuzz program ", i, " quarantined: ",
-                 poisoned[i]->describe());
-    };
-
-    if (options.isolate) {
-        sched.run(options.programs, checkIndex,
-                  exp::FailureMode::KeepGoing);
+    if (!iso.isolate) {
+        exp::Scheduler(options.jobs)
+            .parallelFor(options.programs, [&](std::size_t i) {
+                slots[i] = checkProgram(i, options);
+            });
     } else {
-        sched.parallelFor(options.programs, checkIndex);
+        exp::IsolatedSweep sweep("fuzz program", "fuzz-result",
+                                 /*sweepId=*/0);
+        for (std::size_t i = 0; i < options.programs; ++i) {
+            sweep.jobs.push_back(
+                {std::to_string(i),
+                 options.seed ^ ((i + 1) * 0x9e3779b97f4a7c15ull)});
+        }
+        sweep.work = [&](std::size_t i) {
+            return exp::toWire(kProgResultMagic, checkProgram(i, options));
+        };
+        sweep.accept = [&](std::size_t i, const std::string &payload,
+                           bool) {
+            slots[i] = exp::fromWire<ProgResult>(payload, kProgResultMagic);
+            return slots[i].has_value();
+        };
+        poisoned = exp::runIsolated(sweep, iso, options.jobs);
     }
 
     report.programs = options.programs;
@@ -824,9 +808,7 @@ runVerifyFuzz(const FuzzOptions &options)
                 options.maxFailures) {
                 report.quarantineFailures.push_back(
                     "program " + std::to_string(i) +
-                    " quarantined: " +
-                    (poisoned[i] ? poisoned[i]->describe()
-                                 : std::string("no worker verdict")));
+                    " quarantined: " + poisoned[i]->describe());
             }
             continue;
         }

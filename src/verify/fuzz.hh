@@ -50,10 +50,6 @@ namespace ede {
 /** Campaign configuration. */
 struct FuzzOptions
 {
-    /** chaosCrashIndex value meaning "no chaos hook". */
-    static constexpr std::size_t kNoChaos =
-        static_cast<std::size_t>(-1);
-
     std::uint64_t seed = 1;      ///< Campaign root seed.
     std::size_t programs = 2000; ///< Programs to generate.
     std::size_t maxOps = 80;     ///< Generator length cap per program.
@@ -70,19 +66,10 @@ struct FuzzOptions
      * checking one adversarial program quarantines that program
      * (tallied + reported, campaign completes) instead of killing
      * the whole campaign.  Results are bit-identical to the
-     * in-process path.
+     * in-process path.  `chaosLabel` names a program by its index.
+     * The campaign has no sweep identity, so a journal is refused.
      */
-    bool isolate = false;
-
-    exp::WorkerLimits limits;  ///< Per-program bounds (isolate only).
-    exp::RetryPolicy retry;    ///< Transient-failure retries.
-
-    /**
-     * Test/chaos hook: the program at this index calls abort()
-     * inside its isolated worker -- how tests and the CI chaos job
-     * provoke a deterministic quarantine.  kNoChaos disables it.
-     */
-    std::size_t chaosCrashIndex = kNoChaos;
+    exp::Isolation isolation;
 };
 
 /** How a generated program was built. */

@@ -16,14 +16,13 @@
 #include <string>
 #include <vector>
 
-#include "../bench/cli.hh"
+#include "../bench/bench_util.hh"
 
 namespace ede {
 namespace {
 
 using bench::Cli;
 using bench::CliError;
-using bench::IsolationOptions;
 
 /** argv builder for Cli::parse. */
 struct Args
@@ -134,9 +133,19 @@ TEST(CliDeathTest, UnknownNameExitsTwoAndNamesTheFlag)
                 "flag --app: unknown app 'swop'");
 }
 
+TEST(CliDeathTest, UnknownAppInAListExitsTwo)
+{
+    // The sweep benches' --app LIST takes the malformed-value path
+    // too: exit 2 with usage, not the exit-1 verdict status.
+    Args args({"--app", "update,nope"});
+    EXPECT_EXIT(bench::parseOptions(args.argc(), args.argv()),
+                ::testing::ExitedWithCode(2),
+                "flag --app: unknown app 'nope'");
+}
+
 TEST(CliDeathTest, ZeroAttemptsIsRejected)
 {
-    IsolationOptions iso;
+    exp::Isolation iso;
     Cli cli("testprog");
     bench::addIsolationFlags(cli, iso);
     Args args({"--attempts", "0"});
@@ -159,28 +168,19 @@ TEST(Cli, GoodValuesReachTheCallback)
 
 TEST(Cli, IsolationFlagsPopulateRunnerOptions)
 {
-    IsolationOptions iso;
-    Cli cli("testprog");
-    bench::addIsolationFlags(cli, iso);
     Args args({"--isolate", "--timeout-ms", "1500", "--mem-limit-mb",
                "256", "--attempts", "5", "--journal", "j.log",
                "--resume"});
-    cli.parse(args.argc(), args.argv());
+    const exp::RunnerOptions ro =
+        bench::runnerOptions(bench::parseOptions(args.argc(), args.argv()));
 
+    const exp::Isolation &iso = ro.isolation;
     EXPECT_TRUE(iso.isolate);
     EXPECT_EQ(iso.limits.timeoutMs, 1500u);
     EXPECT_EQ(iso.limits.memLimitBytes, 256ull * 1024 * 1024);
     EXPECT_EQ(iso.retry.maxAttempts, 5u);
     EXPECT_EQ(iso.journalPath, "j.log");
     EXPECT_TRUE(iso.resume);
-
-    exp::RunnerOptions ro;
-    bench::applyIsolation(ro, iso);
-    EXPECT_EQ(ro.isolation, exp::IsolationMode::Process);
-    EXPECT_EQ(ro.limits.timeoutMs, 1500u);
-    EXPECT_EQ(ro.retry.maxAttempts, 5u);
-    EXPECT_EQ(ro.journalPath, "j.log");
-    EXPECT_TRUE(ro.resume);
 }
 
 // ---------------------------------------------------------------- //

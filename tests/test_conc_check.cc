@@ -587,7 +587,7 @@ TEST(ConcCheck, SweepIdCoversTheSearchParameters)
 
     // Isolation knobs do not change the experiment's identity.
     mut = base;
-    mut.isolate = true;
+    mut.isolation.isolate = true;
     mut.jobs = 4;
     EXPECT_EQ(concCheckSweepId(mut), id);
 }
@@ -596,11 +596,11 @@ TEST(ConcCheck, ChaosCrashQuarantinesTheConfig)
 {
     ConcCheckOptions opts = gateOptions(2);
     opts.configs = {Config::B, Config::IQ};
-    opts.isolate = true;
-    opts.retry.maxAttempts = 2;
-    opts.retry.backoffBaseMs = 1;
-    opts.retry.backoffMaxMs = 2;
-    opts.chaosCrashConfig = "IQ";
+    opts.isolation.isolate = true;
+    opts.isolation.retry.maxAttempts = 2;
+    opts.isolation.retry.backoffBaseMs = 1;
+    opts.isolation.retry.backoffMaxMs = 2;
+    opts.isolation.chaosLabel = "IQ";
     const ConcCheckReport report = runConcCheck(opts);
 
     EXPECT_FALSE(report.ok());

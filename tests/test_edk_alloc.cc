@@ -202,8 +202,9 @@ TEST(EdkAlloc, LoweredProgramEnforcesOrderingEndToEnd)
     for (std::size_t i = 0; i < r.code.size(); ++i) {
         const StaticInst &si = r.code[i];
         if (si.op == Op::DcCvap) {
-            prod_idx[++nprod] = b.cvap(si.base, sim.nvmLine(nprod),
-                                       {si.edkDef, si.edkUse});
+            prod_idx[nprod + 1] = b.cvap(si.base, sim.nvmLine(nprod),
+                                         {si.edkDef, si.edkUse});
+            ++nprod;
         } else if (si.op == Op::Str) {
             ++ncons;
             cons_idx[ncons] =

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -527,55 +526,6 @@ TEST(Logging, TagIsPerThread)
     EXPECT_EQ(logJobTag(), "main-thread");
 }
 
-// ---------------------------------------------------------------- //
-// Fault campaign through the scheduler
-// ---------------------------------------------------------------- //
-
-TEST(Scheduler, KeepGoingRunsEveryJobAndCollectsAllErrors)
-{
-    for (unsigned jobs : {1u, 4u}) {
-        const Scheduler sched(jobs);
-        std::vector<std::atomic<int>> ran(16);
-        const exp::RunReport report = sched.run(
-            16,
-            [&](std::size_t i) {
-                ran[i].fetch_add(1);
-                if (i % 5 == 0)
-                    throw std::runtime_error("job failed");
-            },
-            exp::FailureMode::KeepGoing);
-
-        for (const std::atomic<int> &r : ran)
-            EXPECT_EQ(r.load(), 1);
-        ASSERT_EQ(report.errors.size(), 4u);  // 0, 5, 10, 15.
-        for (std::size_t k = 0; k < report.errors.size(); ++k)
-            EXPECT_EQ(report.errors[k].index, k * 5);
-        EXPECT_EQ(report.completed.size(), 12u);
-        EXPECT_TRUE(std::is_sorted(report.completed.begin(),
-                                   report.completed.end()));
-        EXPECT_FALSE(report.ok());
-    }
-}
-
-TEST(Scheduler, StopOnFirstErrorSurfacesCompletedIndices)
-{
-    // The satellite fix: a first-throw run no longer discards the
-    // work that *did* finish -- the report names every completed
-    // index alongside the error.
-    const Scheduler sched(1);
-    const exp::RunReport report = sched.run(
-        8,
-        [](std::size_t i) {
-            if (i == 3)
-                throw std::runtime_error("boom");
-        },
-        exp::FailureMode::StopOnFirstError);
-    ASSERT_EQ(report.errors.size(), 1u);
-    EXPECT_EQ(report.errors[0].index, 3u);
-    EXPECT_EQ(report.completed,
-              (std::vector<std::size_t>{0, 1, 2}));
-}
-
 TEST(ResultCacheTest, SweepsStaleTempFilesAtOpen)
 {
     // The satellite fix: a writer that died between temp-file create
@@ -645,20 +595,20 @@ TEST(CampaignIsolated, MatchesInProcessResultsAndResumes)
 
     const CampaignReport inProc = runCampaign(options);
 
-    options.isolate = true;
+    exp::Isolation &iso = options.isolation;
+    iso.isolate = true;
     options.jobs = 2;
-    options.retry.backoffBaseMs = 1;
-    options.journalPath =
-        scratchDir("campaign_iso") + "/campaign.journal";
+    iso.retry.backoffBaseMs = 1;
+    iso.journalPath = scratchDir("campaign_iso") + "/campaign.journal";
     std::filesystem::create_directories(
-        std::filesystem::path(options.journalPath).parent_path());
+        std::filesystem::path(iso.journalPath).parent_path());
     const CampaignReport isolated = runCampaign(options);
 
     EXPECT_TRUE(isolated.quarantined.empty());
     EXPECT_EQ(campaignToJson(inProc), campaignToJson(isolated));
 
     // Resume replays the journal; the artifact stays byte-identical.
-    options.resume = true;
+    iso.resume = true;
     const CampaignReport resumed = runCampaign(options);
     EXPECT_EQ(campaignToJson(isolated), campaignToJson(resumed));
 }
@@ -669,11 +619,11 @@ TEST(CampaignIsolated, QuarantinesACrashingConfigAndFinishesTheRest)
     options.spec = RunSpec{3, 4, 42};
     options.pointsPerConfig = 8;
     options.configs = {Config::B, Config::U};
-    options.isolate = true;
+    options.isolation.isolate = true;
     options.jobs = 2;
-    options.retry.maxAttempts = 2;
-    options.retry.backoffBaseMs = 1;
-    options.chaosCrashConfig = "B";
+    options.isolation.retry.maxAttempts = 2;
+    options.isolation.retry.backoffBaseMs = 1;
+    options.isolation.chaosLabel = "B";
 
     const CampaignReport report = runCampaign(options);
     ASSERT_EQ(report.quarantined.size(), 1u);

@@ -39,9 +39,10 @@ TEST_P(GridTest, RunsToCompletionAndStaysFunctional)
               .writesAccepted, 0u);
     // Safe configurations never let an update become visible before
     // its undo-log entry is durable.
-    if (!configIsUnsafe(cfg))
+    if (!configIsUnsafe(cfg)) {
         EXPECT_TRUE(h.audit().clean()) << "config "
                                        << configName(cfg);
+    }
 }
 
 TEST_P(GridTest, TimingImageConvergesToFunctionalState)

@@ -755,7 +755,7 @@ TEST(ModelCheck, SweepIdCoversTheSearchParameters)
 
     // Isolation knobs do not change the experiment's identity.
     mut = base;
-    mut.isolate = true;
+    mut.isolation.isolate = true;
     mut.jobs = 4;
     EXPECT_EQ(modelCheckSweepId(mut), id);
 }
@@ -764,11 +764,11 @@ TEST(ModelCheck, ChaosCrashQuarantinesTheConfig)
 {
     ModelCheckOptions opts = microOptions();
     opts.configs = {Config::B, Config::IQ};
-    opts.isolate = true;
-    opts.retry.maxAttempts = 2;
-    opts.retry.backoffBaseMs = 1;
-    opts.retry.backoffMaxMs = 2;
-    opts.chaosCrashConfig = "IQ";
+    opts.isolation.isolate = true;
+    opts.isolation.retry.maxAttempts = 2;
+    opts.isolation.retry.backoffBaseMs = 1;
+    opts.isolation.retry.backoffMaxMs = 2;
+    opts.isolation.chaosLabel = "IQ";
     const ModelCheckReport report = runModelCheck(opts);
 
     EXPECT_FALSE(report.ok());

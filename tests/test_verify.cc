@@ -3,13 +3,16 @@
  * Unit tests for the static EDK dataflow verifier: every diagnostic
  * kind is reachable, anchored at the right instruction index, and
  * legal programs -- including both wait_key encoding conventions and
- * fence-resolved key reuse -- are accepted.
+ * fence-resolved key reuse -- are accepted.  A small fuzz campaign
+ * covers its process-isolated path: the same report as in-process,
+ * the chaos quarantine and the refused journal.
  */
 
 #include <gtest/gtest.h>
 
 #include "isa/assembler.hh"
 #include "trace/builder.hh"
+#include "verify/fuzz.hh"
 #include "verify/verifier.hh"
 
 namespace ede {
@@ -284,6 +287,52 @@ TEST(Verify, TraceAndProgramPathsAgree)
     const VerifyReport rt = verifyTrace(t);
     EXPECT_TRUE(rt.accepted()) << rt.describe();
     EXPECT_EQ(rt.instructions, t.size());
+}
+
+// ---------------------------------------------------------------- //
+// Fuzz campaign, process-isolated
+// ---------------------------------------------------------------- //
+
+FuzzOptions
+smallFuzz()
+{
+    FuzzOptions opt;
+    opt.programs = 16;
+    opt.jobs = 2;
+    opt.isolation.retry.maxAttempts = 2;
+    opt.isolation.retry.backoffBaseMs = 1;
+    opt.isolation.retry.backoffMaxMs = 2;
+    return opt;
+}
+
+TEST(VerifyFuzz, IsolatedReportEqualsInProcess)
+{
+    FuzzOptions opt = smallFuzz();
+    const std::string inProcess = runVerifyFuzz(opt).describe();
+    opt.isolation.isolate = true;
+    EXPECT_EQ(runVerifyFuzz(opt).describe(), inProcess);
+}
+
+TEST(VerifyFuzz, ChaosLabelQuarantinesThatProgram)
+{
+    FuzzOptions opt = smallFuzz();
+    opt.isolation.isolate = true;
+    opt.isolation.chaosLabel = "3";
+    const FuzzReport report = runVerifyFuzz(opt);
+    EXPECT_EQ(report.quarantined, 1u);
+    EXPECT_FALSE(report.contractHolds());
+    EXPECT_NE(report.describe().find("program 3 quarantined"),
+              std::string::npos)
+        << report.describe();
+}
+
+TEST(VerifyFuzzDeathTest, RefusesAJournal)
+{
+    FuzzOptions opt = smallFuzz();
+    opt.isolation.isolate = true;
+    opt.isolation.journalPath = ::testing::TempDir() + "fuzz.journal";
+    EXPECT_EXIT(runVerifyFuzz(opt), ::testing::ExitedWithCode(1),
+                "fuzz campaign cannot be journaled");
 }
 
 } // namespace

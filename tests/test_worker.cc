@@ -82,12 +82,12 @@ fastRetry(unsigned attempts = 1)
 }
 
 // ---------------------------------------------------------------- //
-// runInProcess: classification
+// runForked: classification
 // ---------------------------------------------------------------- //
 
 TEST(Worker, ShipsThePayloadBack)
 {
-    const WorkerRun run = exp::runInProcess(
+    const WorkerRun run = exp::runForked(
         [] { return std::string("hello from the child\nline 2"); },
         WorkerLimits{});
     ASSERT_TRUE(run.ok()) << run.failure.describe();
@@ -96,7 +96,7 @@ TEST(Worker, ShipsThePayloadBack)
 
 TEST(Worker, ClassifiesAbortAsCrashWithSignal)
 {
-    const WorkerRun run = exp::runInProcess(
+    const WorkerRun run = exp::runForked(
         []() -> std::string { std::abort(); }, WorkerLimits{});
     EXPECT_EQ(run.outcome, JobOutcome::Crashed);
     EXPECT_EQ(run.failure.signal, SIGABRT);
@@ -105,7 +105,7 @@ TEST(Worker, ClassifiesAbortAsCrashWithSignal)
 
 TEST(Worker, CapturesTheChildStderrTail)
 {
-    const WorkerRun run = exp::runInProcess(
+    const WorkerRun run = exp::runForked(
         []() -> std::string {
             std::fprintf(stderr, "diagnostic before the crash\n");
             std::fflush(stderr);
@@ -122,7 +122,7 @@ TEST(Worker, BoundsTheStderrTail)
 {
     WorkerLimits limits;
     limits.stderrTailBytes = 16;
-    const WorkerRun run = exp::runInProcess(
+    const WorkerRun run = exp::runForked(
         []() -> std::string {
             for (int i = 0; i < 100; ++i)
                 std::fprintf(stderr, "spam line %d\n", i);
@@ -137,7 +137,7 @@ TEST(Worker, ClassifiesAHangAsTimedOut)
 {
     WorkerLimits limits;
     limits.timeoutMs = 100;
-    const WorkerRun run = exp::runInProcess(
+    const WorkerRun run = exp::runForked(
         []() -> std::string {
             for (;;)
                 std::this_thread::sleep_for(std::chrono::seconds(1));
@@ -154,7 +154,7 @@ TEST(Worker, ClassifiesExhaustedMemoryAsOom)
         GTEST_SKIP() << "RLIMIT_AS is disabled under sanitizers";
     WorkerLimits limits;
     limits.memLimitBytes = 192ull * 1024 * 1024;
-    const WorkerRun run = exp::runInProcess(
+    const WorkerRun run = exp::runForked(
         []() -> std::string {
             std::vector<std::unique_ptr<char[]>> hog;
             for (;;) {
@@ -173,7 +173,7 @@ TEST(Worker, ClassifiesExhaustedMemoryAsOom)
 
 TEST(Worker, ClassifiesSimFaultErrorWithItsReport)
 {
-    const WorkerRun run = exp::runInProcess(
+    const WorkerRun run = exp::runForked(
         []() -> std::string {
             SimError err;
             err.kind = SimErrorKind::WatchdogNoProgress;
@@ -192,7 +192,7 @@ TEST(Worker, ClassifiesSimFaultErrorWithItsReport)
 
 TEST(Worker, EscapedExceptionIsACrashCarryingItsMessage)
 {
-    const WorkerRun run = exp::runInProcess(
+    const WorkerRun run = exp::runForked(
         []() -> std::string {
             throw std::runtime_error("the job escaped");
         },
@@ -338,8 +338,8 @@ isolatedOptions()
     RunnerOptions opt;
     opt.jobs = 2;
     opt.printSummary = false;
-    opt.isolation = exp::IsolationMode::Process;
-    opt.retry = fastRetry(2);
+    opt.isolation.isolate = true;
+    opt.isolation.retry = fastRetry(2);
     return opt;
 }
 
@@ -365,7 +365,7 @@ TEST(RunnerIsolation, QuarantinesThePoisonCellAndFinishesTheRest)
 {
     const ExperimentPlan plan = smallPlan();
     RunnerOptions opt = isolatedOptions();
-    opt.chaosCrashLabel = plan.points()[0].label;
+    opt.isolation.chaosLabel = plan.points()[0].label;
     const ExperimentResults res = runPlan(plan, opt);
 
     ASSERT_EQ(res.failures().size(), 1u);
@@ -387,11 +387,11 @@ TEST(RunnerIsolation, ResumeReplaysTheJournalInsteadOfSimulating)
     const ExperimentPlan plan = smallPlan();
     const std::string dir = scratchDir("resume");
     RunnerOptions opt = isolatedOptions();
-    opt.journalPath = dir + "/sweep.journal";
+    opt.isolation.journalPath = dir + "/sweep.journal";
     const ExperimentResults first = runPlan(plan, opt);
     ASSERT_TRUE(first.allOk());
 
-    opt.resume = true;
+    opt.isolation.resume = true;
     const ExperimentResults second = runPlan(plan, opt);
     EXPECT_EQ(second.journalReplays(), plan.size());
     EXPECT_EQ(second.simulated(), 0u);
@@ -406,15 +406,15 @@ TEST(RunnerIsolation, ResumeKeepsAJournaledQuarantine)
     const ExperimentPlan plan = smallPlan();
     const std::string dir = scratchDir("resume_poison");
     RunnerOptions opt = isolatedOptions();
-    opt.journalPath = dir + "/sweep.journal";
-    opt.chaosCrashLabel = plan.points()[1].label;
+    opt.isolation.journalPath = dir + "/sweep.journal";
+    opt.isolation.chaosLabel = plan.points()[1].label;
     const ExperimentResults first = runPlan(plan, opt);
     ASSERT_EQ(first.failures().size(), 1u);
 
     // Resume without the chaos hook: the poison cell's quarantine is
     // a durable verdict, not retried on every resume.
-    opt.chaosCrashLabel.clear();
-    opt.resume = true;
+    opt.isolation.chaosLabel.clear();
+    opt.isolation.resume = true;
     const ExperimentResults second = runPlan(plan, opt);
     ASSERT_EQ(second.failures().size(), 1u);
     EXPECT_EQ(second.failures()[0]->point.label,
