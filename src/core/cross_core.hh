@@ -25,6 +25,7 @@
 #ifndef EDE_CORE_CROSS_CORE_HH
 #define EDE_CORE_CROSS_CORE_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "core/wait_counters.hh"
@@ -46,6 +47,7 @@ class CrossCoreOrdering
     enter(unsigned core, const StaticInst &si)
     {
         perCore_.at(core).enter(si);
+        ++changes_;
     }
 
     /** Core @p core's tracked EDE instruction completed/squashed. */
@@ -53,7 +55,15 @@ class CrossCoreOrdering
     exit(unsigned core, const StaticInst &si)
     {
         perCore_.at(core).exit(si);
+        ++changes_;
     }
+
+    /**
+     * Count of every enter and exit so far: a core that saw this
+     * value and sees it again knows no WAIT condition has changed
+     * (CoreGroup::run wakes a sleeping core on a difference).
+     */
+    std::uint64_t changes() const { return changes_; }
 
     /** True when no core other than @p core is tracking @p key. */
     bool
@@ -92,6 +102,7 @@ class CrossCoreOrdering
 
   private:
     std::vector<WaitCounters> perCore_;
+    std::uint64_t changes_ = 0;
 };
 
 } // namespace ede

@@ -41,18 +41,6 @@ constexpr char kTagPayload = 'P';
 constexpr char kTagSimFault = 'F';
 constexpr char kTagException = 'E';
 
-#if defined(__SANITIZE_ADDRESS__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
 void
 writeAll(int fd, const void *data, std::size_t len)
 {
@@ -79,7 +67,7 @@ childMain(const std::function<std::string()> &job,
     ::dup2(stderrFd, STDERR_FILENO);
     ::close(stderrFd);
 
-    if (limits.memLimitBytes && !kSanitized) {
+    if (limits.memLimitBytes && !kMemLimitIgnored) {
         struct rlimit rl;
         rl.rlim_cur = limits.memLimitBytes;
         rl.rlim_max = limits.memLimitBytes;
@@ -432,10 +420,11 @@ runIsolated(const IsolatedSweep &sweep, const Isolation &iso,
         failures[i] = std::move(failure);
     };
 
-    // A sanitizer's allocator takes no locks around fork(): a worker
+    // libasan's allocator takes no locks around fork(): a worker
     // forked while another thread is inside it can block forever on a
-    // lock no thread will release.  Such a build forks from one thread.
-    Scheduler(kSanitized ? 1 : threads).parallelFor(n, runJob);
+    // lock no thread will release.  An ASan build forks from one
+    // thread.
+    Scheduler(kAsanBuild ? 1 : threads).parallelFor(n, runJob);
     return failures;
 }
 

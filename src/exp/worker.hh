@@ -56,6 +56,44 @@ enum class JobOutcome
 
 const char *jobOutcomeName(JobOutcome outcome);
 
+/**
+ * @name Sanitizer builds, detected at compile time.
+ *
+ * ASan and TSan map their shadow memory up front, far beyond any
+ * useful RLIMIT_AS, so a capped child would die before its job ran:
+ * neither build applies WorkerLimits::memLimitBytes.  Only libasan's
+ * allocator is unsafe to fork() from a threaded parent, so
+ * runIsolated forks from one thread under ASan alone.
+ */
+/// @{
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kAsanBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+inline constexpr bool kAsanBuild = true;
+#else
+inline constexpr bool kAsanBuild = false;
+#endif
+#else
+inline constexpr bool kAsanBuild = false;
+#endif
+
+#if defined(__SANITIZE_THREAD__)
+inline constexpr bool kTsanBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+inline constexpr bool kTsanBuild = true;
+#else
+inline constexpr bool kTsanBuild = false;
+#endif
+#else
+inline constexpr bool kTsanBuild = false;
+#endif
+
+/** True when this build ignores WorkerLimits::memLimitBytes. */
+inline constexpr bool kMemLimitIgnored = kAsanBuild || kTsanBuild;
+/// @}
+
 /** Resource bounds for one isolated job. */
 struct WorkerLimits
 {
@@ -64,8 +102,8 @@ struct WorkerLimits
 
     /**
      * Child address-space cap (RLIMIT_AS) in bytes; 0 = unbounded.
-     * Ignored under ASan/UBSan builds, whose shadow mappings make
-     * RLIMIT_AS meaningless.
+     * Ignored under ASan and TSan builds (kMemLimitIgnored), whose
+     * shadow mappings make RLIMIT_AS meaningless.
      */
     std::uint64_t memLimitBytes = 0;
 

@@ -34,10 +34,12 @@ MemSystem::MemSystem(MemSystemParams params, unsigned coreCount)
         // default to 0, which is always a valid L1.
         l1ds_.at(r.core)->handleResp(r, now);
     });
-    for (auto &l1 : l1ds_) {
-        l1->setRespFn([this](const MemResp &r, Cycle) {
-            if (r.id != kNoReq)
-                done_.insert(r.id);
+    // Each L1 serves one core, so it knows whose request finished.
+    pendingDone_.assign(coreCount, 0);
+    for (unsigned c = 0; c < coreCount; ++c) {
+        l1ds_[c]->setRespFn([this, c](const MemResp &r, Cycle) {
+            if (r.id != kNoReq && done_.emplace(r.id, c).second)
+                ++pendingDone_[c];
         });
     }
 }
@@ -113,7 +115,12 @@ MemSystem::sendClean(Addr addr, Cycle now, TraceIndex origin,
 bool
 MemSystem::consumeDone(ReqId id)
 {
-    return done_.erase(id) > 0;
+    const auto it = done_.find(id);
+    if (it == done_.end())
+        return false;
+    --pendingDone_[it->second];
+    done_.erase(it);
+    return true;
 }
 
 void

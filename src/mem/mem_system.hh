@@ -26,7 +26,7 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -101,6 +101,9 @@ class MemSystem
     /** Consume a completion: true exactly once per finished request. */
     bool consumeDone(ReqId id);
 
+    /** True when a request of core @p core finished unconsumed. */
+    bool hasDone(unsigned core) const { return pendingDone_[core] != 0; }
+
     /**
      * Functional warmup: make @p addr's line resident (clean) in the
      * hierarchy down to @p level (1 = L1D..L3).  Level 1 warms every
@@ -127,9 +130,6 @@ class MemSystem
      * per jump of the whole machine.
      */
     void replaySkipped(std::uint64_t n);
-
-    /** Unconsumed completions (skip-ahead safety check). */
-    bool hasPendingDone() const { return !done_.empty(); }
 
     /** @name Component access (stats, hooks, tests). */
     /// @{
@@ -161,7 +161,9 @@ class MemSystem
     std::unique_ptr<Cache> l3_;
     std::unique_ptr<Cache> l2_;
     std::vector<std::unique_ptr<Cache>> l1ds_;  ///< One per core.
-    std::unordered_set<ReqId> done_;
+    /** Unconsumed completions: request id -> issuing core. */
+    std::unordered_map<ReqId, unsigned> done_;
+    std::vector<std::size_t> pendingDone_;  ///< done_ entries per core.
     ReqId nextId_ = 1;
     CoherenceStats coherence_;
 };

@@ -143,8 +143,8 @@ OoOCore::onWbComplete(const WbEntry &entry, Cycle now)
 void
 OoOCore::pollLoads(Cycle now)
 {
-    // Most ticks finish no memory request: nothing to consume.
-    if (!mem_.hasPendingDone())
+    // Most ticks finish no request of this core: nothing to consume.
+    if (!mem_.hasDone(coreId_))
         return;
     for (auto it = outstandingLoads_.begin();
          it != outstandingLoads_.end();) {
@@ -409,6 +409,8 @@ OoOCore::issue(Cycle now)
                 outstandingLoads_[*id] = s;
                 in.loadReq = *id;
                 launched = true;
+            } else {
+                loadRefused_ = true;
             }
             break;
           }
@@ -1058,6 +1060,8 @@ OoOCore::tickPipeline(Cycle now, HostProfile *timed)
         PhaseTimer t(timed, &HostProfile::fetchNanos);
         dispatch(now);
     }
+    if (xcore_)
+        waitSeen_ = xcore_->changes();
 }
 
 bool
@@ -1104,28 +1108,35 @@ OoOCore::runChecks(Cycle now)
 }
 
 Cycle
+OoOCore::timedEventCycle(Cycle now) const
+{
+    Cycle next = kNoCycle;
+
+    // Core-scheduled execution writebacks.
+    if (!pendingExec_.empty())
+        next = std::max(now, pendingExec_.top().due);
+
+    // The fetch redirect after a squash.  The tick just executed ran
+    // at cycle now-1, so dispatch was redirect-gated iff
+    // fetchResumeAt_ >= now -- and the gate lifts at fetchResumeAt_
+    // itself (== now means the very next tick dispatches).  When
+    // fetchResumeAt_ < now the frontend was not gated and dispatch
+    // stalled structurally, which only core progress can clear, so
+    // the window is uniform and needs no event.
+    if (fetchIdx_ < trace_->size() && fetchResumeAt_ >= now)
+        next = std::min(next, fetchResumeAt_);
+    return next;
+}
+
+Cycle
 OoOCore::skipTarget(Cycle now) const
 {
     // Component hints.  Every hint is conservative-early: a component
     // may advertise a cycle at which nothing happens after all, but
     // must never become actionable *before* its hint (DESIGN.md
     // section 10).  kNoCycle means "no intrinsic event".
-    Cycle target = std::min(mem_.nextEventCycle(now),
-                            wb_->nextEventCycle(now));
-
-    // Core-scheduled execution writebacks.
-    if (!pendingExec_.empty())
-        target = std::min(target, std::max(now, pendingExec_.top().due));
-
-    // The fetch redirect after a squash.  The tick just executed ran
-    // at cycle now-1, so dispatch was redirect-gated iff
-    // fetchResumeAt_ >= now -- and the gate lifts at fetchResumeAt_
-    // itself (== now means the very next tick dispatches: no skip).
-    // When fetchResumeAt_ < now the frontend was not gated and
-    // dispatch stalled structurally, which only core progress can
-    // clear, so the window is uniform and needs no hint.
-    if (fetchIdx_ < trace_->size() && fetchResumeAt_ >= now)
-        target = std::min(target, fetchResumeAt_);
+    Cycle target = std::min(wb_->nextEventCycle(now),
+                            timedEventCycle(now));
 
     // The run-loop checks are cycle-count triggered, not event
     // triggered: jump exactly onto each one's first firing cycle so
@@ -1144,8 +1155,9 @@ OoOCore::skipTarget(Cycle now) const
 }
 
 void
-OoOCore::replayDeadTicks(const StallSnapshot &pre, Cycle skipped)
+OoOCore::replayDeadTicks(Cycle skipped)
 {
+    const StallSnapshot &pre = tickStart_;
     stats_.dispatchStallRob += (stats_.dispatchStallRob - pre.rob) * skipped;
     stats_.dispatchStallIq += (stats_.dispatchStallIq - pre.iq) * skipped;
     stats_.dispatchStallLsq += (stats_.dispatchStallLsq - pre.lsq) * skipped;

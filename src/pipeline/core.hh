@@ -218,7 +218,9 @@ class OoOCore
      * memory hierarchy's tick, which CoreGroup::run does once per
      * cycle before every core's pipeline.  @p timed is the run's
      * phase sample on a sampled host tick (PhaseSampler::tick), null
-     * on every other tick.
+     * on every other tick.  Ends by recording the cross-core WAIT
+     * state this tick left (waitSeen_): a later core's change in the
+     * same cycle must still wake this one if it sleeps.
      */
     void tickPipeline(Cycle now, HostProfile *timed);
 
@@ -267,22 +269,32 @@ class OoOCore
     bool runChecks(Cycle now);
 
     /**
-     * Skip-ahead: the earliest cycle > @p now at which anything can
-     * happen -- the minimum over every component's nextEventCycle
-     * hint, the core's own timed events (execution writebacks, the
-     * fetch-redirect resume), and the exact next firing cycles of the
-     * run-loop checks.  Only meaningful right after a dead tick.
+     * Skip-ahead: the earliest cycle > @p now at which anything in
+     * this core can happen -- the minimum over the write buffer's
+     * nextEventCycle hint, the core's own timed events
+     * (timedEventCycle), and the exact next firing cycles of the
+     * run-loop checks.  The shared hierarchy's hint is not included:
+     * CoreGroup::run asks it once per attempt for the whole machine.
+     * Only meaningful right after a dead tick.
      */
     Cycle skipTarget(Cycle now) const;
 
     /**
-     * @name Dead-tick snapshot and replay for CoreGroup::run.
+     * The core's own timed events after a tick that ended at cycle
+     * now-1: the head of pendingExec_ and, when dispatch was
+     * redirect-gated, the fetch-redirect resume.  kNoCycle if none.
+     */
+    Cycle timedEventCycle(Cycle now) const;
+
+    /**
+     * @name Idle-tick snapshot and replay for CoreGroup::run.
      *
      * A tick without progress may bump only the stall counters below,
-     * and every skipped cycle would bump them by the same amounts, so
-     * a jump replays the delta of the last dead tick once per skipped
-     * cycle.  The shared hierarchy's refused retries are replayed
-     * separately, once per machine (MemSystem::replaySkipped).
+     * and every further idle cycle would bump them by the same
+     * amounts, so a machine-wide jump -- or a core's sleep -- replays
+     * the delta of the last idle tick once per skipped cycle.  The
+     * shared hierarchy's refused retries are replayed separately,
+     * once per machine (MemSystem::replaySkipped).
      */
     /// @{
     struct StallSnapshot
@@ -294,27 +306,67 @@ class OoOCore
         WriteBufferStats wb;
     };
 
-    /** Clear the progress flag and snapshot the counters for a tick. */
-    StallSnapshot
+    /** Clear the progress flags and snapshot the counters for a tick. */
+    void
     beginTick()
     {
         progress_ = false;
-        return StallSnapshot{stats_.dispatchStallRob,
-                             stats_.dispatchStallIq,
-                             stats_.dispatchStallLsq,
-                             stats_.retireStallWbFull, wb_->stats()};
+        loadRefused_ = false;
+        tickStart_ = StallSnapshot{stats_.dispatchStallRob,
+                                   stats_.dispatchStallIq,
+                                   stats_.dispatchStallLsq,
+                                   stats_.retireStallWbFull,
+                                   wb_->stats()};
     }
 
-    /** True when the tick since @p pre progressed (or the WB acted). */
+    /** True when the tick since beginTick progressed (or the WB acted). */
     bool
-    progressedSince(const StallSnapshot &pre) const
+    progressed() const
     {
-        return progress_ || wb_->stats().pushes != pre.wb.pushes ||
-               wb_->stats().memRejected != pre.wb.memRejected;
+        return progress_ || wb_->stats().pushes != tickStart_.wb.pushes ||
+               wb_->stats().memRejected != tickStart_.wb.memRejected;
     }
 
-    /** Replay @p skipped copies of the dead tick since @p pre. */
-    void replayDeadTicks(const StallSnapshot &pre, Cycle skipped);
+    /** Replay @p skipped copies of the idle tick since beginTick. */
+    void replayDeadTicks(Cycle skipped);
+    /// @}
+
+    /**
+     * @name Sleeping (skip-ahead only; DESIGN.md section 10 item 6).
+     *
+     * After an idle tick with no refused load, the core's next tick
+     * can differ from it only once one of its memory requests
+     * finishes, one of its own timed events comes due, another core's
+     * WAIT counters change, or runChecks releases a degrade gate.
+     * Until then CoreGroup::run skips its pipeline; waking replays the
+     * skipped cycles' stall counters.
+     */
+    /// @{
+    /** Sleep from cycle @p now, after an idle tick at now-1. */
+    void
+    sleep(Cycle now)
+    {
+        asleep_ = true;
+        sleptAt_ = now;
+        wakeAt_ = timedEventCycle(now);
+    }
+
+    /** True when the first three wake sources may have fired by @p now. */
+    bool
+    wakeDue(Cycle now) const
+    {
+        return mem_.hasDone(coreId_) || now >= wakeAt_ ||
+               (xcore_ && xcore_->changes() != waitSeen_);
+    }
+
+    /** Replay the slept cycles before @p now and begin a tick. */
+    void
+    wake(Cycle now)
+    {
+        asleep_ = false;
+        replayDeadTicks(now - sleptAt_);
+        beginTick();
+    }
     /// @}
 
     void pollLoads(Cycle now);
@@ -424,6 +476,18 @@ class OoOCore
     TickingMode ticking_ = TickingMode::SkipAhead;
     /** Set by any state-changing pipeline action during a tick. */
     bool progress_ = false;
+    /** Set when the L1D refused a load this tick (retried next tick). */
+    bool loadRefused_ = false;
+    /** The counters at beginTick: replayDeadTicks' per-tick base. */
+    StallSnapshot tickStart_;
+    /** @name Sleep state (see sleep()). */
+    /// @{
+    bool asleep_ = false;
+    Cycle sleptAt_ = 0;          ///< First cycle not ticked.
+    Cycle wakeAt_ = kNoCycle;    ///< timedEventCycle at sleep.
+    /** CrossCoreOrdering::changes() right after the last tick. */
+    std::uint64_t waitSeen_ = 0;
+    /// @}
     SimError simError_;
     /** traceIdx -> forged edeSrc offset (fault-injection seam). */
     std::unordered_map<std::size_t, SeqNum> edeSrcOverrides_;

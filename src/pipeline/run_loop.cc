@@ -33,10 +33,6 @@ CoreGroup::run(const std::vector<const Trace *> &traces,
     const bool skip = cores_[0]->ticking_ == TickingMode::SkipAhead;
 
     const std::size_t n = cores_.size();
-
-    // Dead-tick counter snapshots, one per core.
-    std::vector<OoOCore::StallSnapshot> pre(n);
-
     std::vector<bool> running(n, true);
     std::size_t live = n;
 
@@ -66,15 +62,14 @@ CoreGroup::run(const std::vector<const Trace *> &traces,
     bool stopped = false;
 
     while (live > 0) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (running[i])
-                pre[i] = cores_[i]->beginTick();
-        }
-
         // The shared hierarchy ticks exactly once per cycle; each
         // unfinished core then runs its private pipeline in index
-        // order against the post-tick memory state.  A sampled tick
-        // times every core's phases into the one machine-wide
+        // order against the post-tick memory state.  A sleeping core
+        // is passed over unless a wake source fired: it sees the
+        // WAIT counters as the lower-index cores left them this
+        // cycle, and its own tick records them, so a higher-index
+        // core's exit wakes it next cycle.  A sampled tick times
+        // every ticked core's phases into the one machine-wide
         // profile.
         HostProfile *timed = sampler.tick();
         {
@@ -82,17 +77,26 @@ CoreGroup::run(const std::vector<const Trace *> &traces,
             mem.tick(now);
         }
         for (std::size_t i = 0; i < n; ++i) {
-            if (running[i])
-                cores_[i]->tickPipeline(now, timed);
+            OoOCore &c = *cores_[i];
+            if (!running[i])
+                continue;
+            if (!c.asleep_)
+                c.beginTick();
+            else if (c.wakeDue(now))
+                c.wake(now);
+            else
+                continue;
+            c.tickPipeline(now, timed);
         }
         ++now;
         if (prof)
             ++prof->hostTicks;
 
-        // Every unfinished core runs its per-cycle checks each tick
-        // (the analyzer has per-core side effects); any core's abort
-        // stops the whole group -- partial-machine results are not
-        // meaningful.  Callers check every core's simError().
+        // Every unfinished core runs its per-cycle checks each tick,
+        // asleep or not (the analyzer has per-core side effects); any
+        // core's abort stops the whole group -- partial-machine
+        // results are not meaningful.  Callers check every core's
+        // simError().
         for (std::size_t i = 0; i < n; ++i) {
             if (running[i] && cores_[i]->runChecks(now))
                 stopped = true;
@@ -100,20 +104,26 @@ CoreGroup::run(const std::vector<const Trace *> &traces,
         if (stopped)
             break;
 
-        // A cycle is dead only when *no* core progressed.  Cross-core
-        // WAIT release is covered: remote counters change only when
-        // the remote core completes something, which is progress.
+        // A cycle is dead only when *no* core progressed.  A sleeping
+        // core progresses only by a degrade release in its checks,
+        // which wakes it.  Under skip-ahead an idle core sleeps,
+        // unless its L1D refused a load: reference ticking retries
+        // (and counts) that every cycle.
         bool progressed = false;
         for (std::size_t i = 0; i < n; ++i) {
-            if (running[i] && cores_[i]->progressedSince(pre[i]))
-                progressed = true;
-        }
-
-        for (std::size_t i = 0; i < n; ++i) {
-            if (running[i] && cores_[i]->finished()) {
-                cores_[i]->stats_.cycles = now;
+            OoOCore &c = *cores_[i];
+            if (!running[i])
+                continue;
+            const bool p = c.progressed();
+            progressed |= p;
+            if (c.finished()) {
+                c.stats_.cycles = now;
                 running[i] = false;
                 --live;
+            } else if (c.asleep_ && p) {
+                c.wake(now);
+            } else if (skip && !c.asleep_ && !p && !c.loadRefused_) {
+                c.sleep(now);
             }
         }
         if (live == 0)
@@ -128,15 +138,15 @@ CoreGroup::run(const std::vector<const Trace *> &traces,
             continue;
 
         // Dead tick: every cycle until the earliest advertised event
-        // of any unfinished core (each core's walk already includes
-        // the shared hierarchy's hint and its own check firing
-        // cycles) is an identical no-op, so jump there.
+        // of the shared hierarchy or of any unfinished core (its
+        // write buffer, timed events and check firing cycles) is an
+        // identical no-op, so jump there.
         Cycle target;
         {
             PhaseTimer timer(prof, &HostProfile::skipNanos);
             if (prof)
                 ++prof->skipAttempts;
-            target = kNoCycle;
+            target = mem.nextEventCycle(now);
             for (std::size_t i = 0; i < n; ++i) {
                 if (running[i])
                     target = std::min(target,
@@ -151,9 +161,10 @@ CoreGroup::run(const std::vector<const Trace *> &traces,
         nextAttempt = 0;
         backoff = 1;
         const Cycle skipped = target - now;
+        // A sleeping core replays the jumped window when it wakes.
         for (std::size_t i = 0; i < n; ++i) {
-            if (running[i])
-                cores_[i]->replayDeadTicks(pre[i], skipped);
+            if (running[i] && !cores_[i]->asleep_)
+                cores_[i]->replayDeadTicks(skipped);
         }
         // The hierarchy is shared: its refusals replay once.
         mem.replaySkipped(skipped);
@@ -162,20 +173,29 @@ CoreGroup::run(const std::vector<const Trace *> &traces,
             ++prof->skipJumps;
             prof->cyclesSkipped += skipped;
         }
-        // The landing cycle may be a check firing cycle.
+        // The landing cycle may be a check firing cycle, and a
+        // degrade release there wakes its core.
         for (std::size_t i = 0; i < n; ++i) {
-            if (running[i] && cores_[i]->runChecks(now))
+            OoOCore &c = *cores_[i];
+            if (!running[i])
+                continue;
+            if (c.runChecks(now))
                 stopped = true;
+            else if (c.asleep_ && c.progressed())
+                c.wake(now);
         }
         if (stopped)
             break;
     }
 
-    // Cores still unfinished (the group stopped on an error) record
-    // the stop cycle.
+    // Cores still unfinished (the group stopped on an error) replay
+    // any slept cycles, then record the stop cycle.
     for (std::size_t i = 0; i < n; ++i) {
-        if (running[i])
-            cores_[i]->stats_.cycles = now;
+        if (!running[i])
+            continue;
+        if (cores_[i]->asleep_)
+            cores_[i]->wake(now);
+        cores_[i]->stats_.cycles = now;
     }
     sampler.finish(now, !skip);
     return now;

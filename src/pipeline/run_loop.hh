@@ -6,12 +6,20 @@
  * then runs every unfinished core's private pipeline in core-index
  * order.  Skip-ahead works per machine: a cycle is dead only when
  * *no* core made progress, and the jump target is the earliest of
- * every unfinished core's advertised events -- so a cross-core WAIT
- * release (which always rides on some core's completion, i.e. on
- * progress) can never be jumped over.  Each core's dead-tick stall
- * counters are replayed individually, and the shared hierarchy's
- * refused retries once per jump.  A one-core machine is a group of
- * one; tests/golden pins its results.
+ * the shared hierarchy's and every unfinished core's advertised
+ * events -- so a cross-core WAIT release (which always rides on some
+ * core's completion, i.e. on progress) can never be jumped over.
+ * Each core's dead-tick stall counters are replayed individually,
+ * and the shared hierarchy's refused retries once per jump.
+ *
+ * Within the cycles it ticks, skip-ahead also lets an idle core
+ * sleep: after a tick without progress (and without a refused load)
+ * the group skips the core's pipeline until a completion addressed
+ * to it, one of its own timed events, a cross-core WAIT counter
+ * change or a degrade release by its checks wakes it; the core then
+ * replays the skipped cycles' stall counters (DESIGN.md section 10
+ * item 6).  Reference ticking runs every core every cycle.  A
+ * one-core machine is a group of one; tests/golden pins its results.
  */
 
 #ifndef EDE_PIPELINE_RUN_LOOP_HH

@@ -101,8 +101,8 @@ WriteBuffer::tick(Cycle now)
 {
     // 1. Finished pushes complete (and release their consumers).
     //    Nothing can be consumed while the memory system holds no
-    //    finished request, which is most ticks.
-    for (std::size_t i = 0; mem_.hasPendingDone() && i < entries_.size();) {
+    //    finished request of this core, which is most ticks.
+    for (std::size_t i = 0; mem_.hasDone(coreId_) && i < entries_.size();) {
         WbEntry &e = entries_[i];
         if (e.pushing && mem_.consumeDone(e.req)) {
             completeEntry(i, now);

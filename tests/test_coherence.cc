@@ -13,10 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "apps/concurrent.hh"
+#include "exp/fields.hh"
 #include "mem/mem_system.hh"
 #include "sim/session.hh"
 #include "trace/builder.hh"
+#include "wire_test_util.hh"
 
 namespace ede {
 namespace {
@@ -351,28 +355,32 @@ TEST(Coherence, SbAndLbTickingModesAgree)
 
 TEST(Coherence, ConcurrentKernelsTickingParity)
 {
+    // Every kernel under every configuration on two cores, whole
+    // results compared.  Larger machines stay out: there the tickers
+    // still disagree on some cells through the NVM read hint
+    // (ROADMAP item 5).
     for (ConcApp app : kAllConcApps) {
-        ConcParams cp;
-        cp.cfg = Config::WB;
-        cp.cores = 2;
-        cp.opsPerCore = 24;
-        const std::vector<Trace> traces =
-            buildConcurrentTraces(app, cp);
-        Session skip(SimConfig::paper(Config::WB)
-                         .withCoreCount(2)
-                         .withTicking(TickingMode::SkipAhead));
-        Session ref(SimConfig::paper(Config::WB)
-                        .withCoreCount(2)
-                        .withTicking(TickingMode::Reference));
-        const SimResult a = skip.run(RunRequest::perCore(traces));
-        const SimResult b = ref.run(RunRequest::perCore(traces));
-        ASSERT_TRUE(a.ok()) << concAppName(app);
-        ASSERT_TRUE(b.ok()) << concAppName(app);
-        EXPECT_EQ(a.stats.cycles, b.stats.cycles) << concAppName(app);
-        for (std::size_t i = 0; i < 2; ++i) {
-            EXPECT_EQ(a.stats.perCore[i].stats.retired,
-                      b.stats.perCore[i].stats.retired)
-                << concAppName(app);
+        for (Config cfg : kAllConfigs) {
+            SCOPED_TRACE(std::string(concAppName(app)) + "/" +
+                         std::string(configName(cfg)));
+            ConcParams cp;
+            cp.cfg = cfg;
+            cp.cores = 2;
+            cp.opsPerCore = 24;
+            const std::vector<Trace> traces =
+                buildConcurrentTraces(app, cp);
+            Session skip(SimConfig::paper(cfg)
+                             .withCoreCount(2)
+                             .withTicking(TickingMode::SkipAhead));
+            Session ref(SimConfig::paper(cfg)
+                            .withCoreCount(2)
+                            .withTicking(TickingMode::Reference));
+            const SimResult a = skip.run(RunRequest::perCore(traces));
+            const SimResult b = ref.run(RunRequest::perCore(traces));
+            ASSERT_TRUE(a.ok());
+            ASSERT_TRUE(b.ok());
+            expectSameWire(exp::toWire("run", b.stats),
+                           exp::toWire("run", a.stats));
         }
     }
 }

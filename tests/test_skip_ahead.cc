@@ -19,14 +19,15 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
+#include <functional>
 #include <string>
 
 #include "apps/harness.hh"
 #include "exp/fields.hh"
 #include "pipeline/run_loop.hh"
 #include "sim_test_util.hh"
+#include "wire_test_util.hh"
 
 namespace ede {
 namespace {
@@ -73,24 +74,6 @@ runWorkload(AppId app, Config cfg, TickingMode mode,
     snap.mediaWrites = h.system().mediaWriteEvents();
     snap.profile = h.system().profile();
     return snap;
-}
-
-/**
- * Equal wire forms -- every counter, distribution and per-core record
- * the result cache would store -- reporting where they first differ.
- */
-void
-expectSameWire(const std::string &ref, const std::string &skip)
-{
-    if (ref == skip)
-        return;
-    const std::size_t at = static_cast<std::size_t>(
-        std::mismatch(ref.begin(), ref.end(), skip.begin(), skip.end())
-            .first - ref.begin());
-    const std::size_t from = at < 80 ? 0 : at - 80;
-    ADD_FAILURE() << "wire forms differ at offset " << at
-                  << "\n  reference:  ..." << ref.substr(from, 120)
-                  << "\n  skip-ahead: ..." << skip.substr(from, 120);
 }
 
 void
@@ -367,6 +350,186 @@ TEST(SkipAhead, AcceptFaultHookKeepsEveryRetry)
                    exp::toWire("run", r[1].stats));
     EXPECT_GT(r[1].stats.nvm.transientRejects, 0u);
     EXPECT_GT(r[1].stats.nvm.bufferFullRejects, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Sleeping cores (DESIGN.md section 10 item 6): under skip-ahead an
+// idle core skips its pipeline until a wake source fires.  Each test
+// below drives one wake source, or a stop while a core sleeps, on two
+// cores and requires reference ticking's whole result.
+// ---------------------------------------------------------------------
+
+/** @p n independent moves: a core that progresses every cycle. */
+Trace
+busyLoop(int n)
+{
+    Trace t;
+    TraceBuilder b(t);
+    for (int i = 0; i < n; ++i)
+        b.movImm(static_cast<RegIndex>(8 + i % 16), i);
+    return t;
+}
+
+/**
+ * Run @p traces on @p cfg under both tickers, @p prepare applied to
+ * each System first; @return {reference, skip-ahead}.
+ */
+std::array<SimResult, 2>
+runBothTickers(SimConfig cfg, const std::vector<Trace> &traces,
+               const std::function<void(System &)> &prepare = {})
+{
+    std::array<SimResult, 2> r;
+    for (std::size_t m = 0; m < kModes.size(); ++m) {
+        Session s(cfg.withTicking(kModes[m]));
+        if (prepare)
+            prepare(s.system());
+        r[m] = s.run(RunRequest::perCore(traces));
+    }
+    return r;
+}
+
+/** The same stop (if any) and the same wire form. */
+void
+expectSameRun(const std::array<SimResult, 2> &r)
+{
+    EXPECT_EQ(r[0].error.kind, r[1].error.kind)
+        << r[1].error.describe();
+    EXPECT_EQ(r[0].error.cycle, r[1].error.cycle);
+    expectSameWire(exp::toWire("run", r[0].stats),
+                   exp::toWire("run", r[1].stats));
+}
+
+TEST(SleepingCores, WaitReleasedByAHigherIndexCoreWakes)
+{
+    // Core 0 parks WAIT_KEY 1 behind core 1's key-1 persists.  Core 1
+    // ticks after core 0, so core 0 sees an exit only on its own next
+    // tick -- and must be awake for it, even when it ticked idle in
+    // the very cycle of the exit (woken by core 1's previous exit one
+    // cycle earlier).
+    std::vector<Trace> traces(2);
+    {
+        TraceBuilder b(traces[0]);
+        for (int i = 0; i < 32; ++i) {
+            b.ldr(3, 1, MiniSim::dramLine(i));
+            b.waitKey(1);
+            b.str(4, 1, MiniSim::dramLine(64 + i), i);
+        }
+    }
+    {
+        TraceBuilder b(traces[1]);
+        for (int i = 0; i < 32; ++i) {
+            const Addr a = nvmRegion(1) + static_cast<Addr>(i) * 128;
+            b.str(2, 1, a, i);
+            b.str(2, 1, a + 64, i);
+            b.cvap(1, a, {1, 0});
+            b.cvap(1, a + 64, {1, 0});
+            b.dsbSy();
+        }
+    }
+    const auto r = runBothTickers(
+        SimConfig::paper(Config::IQ).withCoreCount(2), traces);
+    ASSERT_TRUE(r[1].ok()) << r[1].error.describe();
+    expectSameRun(r);
+}
+
+TEST(SleepingCores, DegradeReleaseWakesItsCore)
+{
+    // Core 1 wedges on a forged forward EDE link (the EDK detector's
+    // gadget) and sleeps; its analyzer's degrade release must wake it
+    // on a cycle core 0 keeps live, and, with core 0 idle, on the
+    // landing cycle of a jump.
+    for (const int busy : {3000, 0}) {
+        SCOPED_TRACE(busy ? "core 0 busy" : "core 0 idle");
+        std::vector<Trace> traces{busyLoop(busy), Trace{}};
+        TraceBuilder b(traces[1]);
+        for (int i = 0; i < 3; ++i)
+            b.str(8, 2, MiniSim::dramLine(i), i);
+        b.movImm(10, 3);
+        b.mul(11, 10, 10);
+        b.mul(12, 11, 11);
+        const std::size_t x = b.str(12, 2, nvmRegion(1), 1, 0, {4, 0});
+        b.str(13, 2, MiniSim::dramLine(3), 2, 0, {0, 4});
+        for (int i = 0; i < 3; ++i)
+            b.str(14, 2, MiniSim::dramLine(4 + i), i);
+        const auto r = runBothTickers(
+            SimConfig::paper(Config::IQ)
+                .withCoreCount(2)
+                .withEdkRecovery(EdkRecoveryMode::Degrade)
+                .withEdkStallCycles(500)
+                .withWatchdog(100'000),
+            traces,
+            [x](System &sys) { sys.core(1).corruptEdeLink(x, 1); });
+        ASSERT_TRUE(r[1].ok()) << r[1].error.describe();
+        EXPECT_GE(r[1].stats.perCore[1].stats.edkFencesSynthesized, 1u);
+        expectSameRun(r);
+    }
+}
+
+TEST(SleepingCores, FetchRedirectWakesItsCore)
+{
+    // Each mispredict leaves core 1 with an empty pipeline until the
+    // refill penalty elapses.  Core 0 keeps every cycle live, so no
+    // machine-wide jump lands on the resume cycle: core 1's own timed
+    // event must wake it.
+    std::vector<Trace> traces{busyLoop(3000), Trace{}};
+    TraceBuilder b(traces[1]);
+    for (int i = 0; i < 8; ++i) {
+        // The predictor starts weakly taken: not-taken mispredicts.
+        b.branchCond("redirect" + std::to_string(i), 1, 2, false);
+        b.alu(3, 3, kNoReg, 1);
+    }
+    const auto r = runBothTickers(
+        SimConfig::paper(Config::B).withCoreCount(2), traces);
+    ASSERT_TRUE(r[1].ok()) << r[1].error.describe();
+    EXPECT_GE(r[1].stats.perCore[1].stats.squashes, 8u);
+    expectSameRun(r);
+}
+
+TEST(SleepingCores, RefusedLoadKeepsItsCoreAwake)
+{
+    // Behind full MSHRs, a one-entry L1D input queue refuses core 1's
+    // loads.  Reference ticking retries each one every cycle and
+    // counts every refusal, so a tick whose only act was a refused
+    // load must not sleep.
+    MemSystemParams mem;
+    mem.l1d.inputQueue = 1;
+    std::vector<Trace> traces{busyLoop(3000), Trace{}};
+    TraceBuilder b(traces[1]);
+    for (int i = 0; i < 16; ++i)
+        b.ldr(static_cast<RegIndex>(8 + i % 8), 1, MiniSim::dramLine(i));
+    const auto r = runBothTickers(
+        SimConfig::paper(Config::B).withCoreCount(2).withMem(mem), traces);
+    ASSERT_TRUE(r[1].ok()) << r[1].error.describe();
+    EXPECT_GT(r[1].stats.perCore[1].l1d.rejects, 0u);
+    expectSameRun(r);
+}
+
+TEST(SleepingCores, StopReplaysTheSleepersCycles)
+{
+    // A full WPQ holds core 1's persist fences for whole media
+    // writes, so it sleeps most of its run; the watchdog and the
+    // maxCycles backstop each stop the group while it sleeps, with
+    // core 0 busy (a live-cycle stop) and idle (a stop on a jump's
+    // landing cycle).  Core 1 replays its slept cycles first.
+    for (const bool watchdog : {true, false}) {
+        for (const int busy : {3000, 0}) {
+            SCOPED_TRACE(std::string(watchdog ? "watchdog" : "maxCycles") +
+                         (busy ? ", core 0 busy" : ", core 0 idle"));
+            SimConfig cfg = SimConfig::paper(Config::B)
+                                .withCoreCount(2)
+                                .withMem(tinyWpq());
+            if (watchdog)
+                cfg.withWatchdog(1'000);
+            else
+                cfg.core().maxCycles = 4'000;
+            const auto r = runBothTickers(
+                cfg, {busyLoop(busy), persistLoop(160, nvmRegion(1))});
+            EXPECT_EQ(r[1].error.kind,
+                      watchdog ? SimErrorKind::WatchdogNoProgress
+                               : SimErrorKind::MaxCyclesExceeded);
+            expectSameRun(r);
+        }
+    }
 }
 
 } // namespace

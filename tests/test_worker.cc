@@ -39,18 +39,6 @@ using exp::SweepJournal;
 using exp::WorkerLimits;
 using exp::WorkerRun;
 
-#if defined(__SANITIZE_ADDRESS__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
 RunSpec
 tiny()
 {
@@ -150,8 +138,8 @@ TEST(Worker, ClassifiesAHangAsTimedOut)
 
 TEST(Worker, ClassifiesExhaustedMemoryAsOom)
 {
-    if (kSanitized)
-        GTEST_SKIP() << "RLIMIT_AS is disabled under sanitizers";
+    if (exp::kMemLimitIgnored)
+        GTEST_SKIP() << "RLIMIT_AS is not applied under ASan or TSan";
     WorkerLimits limits;
     limits.memLimitBytes = 192ull * 1024 * 1024;
     const WorkerRun run = exp::runForked(
