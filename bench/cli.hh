@@ -19,7 +19,8 @@
  * (--jobs / --json / --cache-dir / --no-cache) shared by the sweep
  * benches; addIsolationFlags fills an exp::Isolation from the
  * process-isolation flags (--isolate / --timeout-ms / ... /
- * --journal / --resume).
+ * --journal / --resume), and addTrafficFlags / addOverloadFlags fill
+ * a template traffic::TrafficPlan.
  */
 
 #ifndef EDE_BENCH_CLI_HH
@@ -255,40 +256,30 @@ addSeedFlag(Cli &cli, std::uint64_t &seed)
               [&seed](const std::string &v) { seed = toU64(v); });
 }
 
-/** Traffic-harness knobs shared by the open-loop benches. */
-struct TrafficOptions
-{
-    unsigned streams = 4;     ///< Concurrent client streams.
-    double zipfTheta = 0.99;  ///< Key skew; [0, 1).
-    bool bursty = false;      ///< MMPP arrivals instead of Poisson.
-
-    /** Explicit offered-load points (mean gap, cycles); empty = the
-     * bench's default sweep. */
-    std::vector<double> arrivalGaps;
-
-    std::uint64_t seed = 42;
-};
-
 /**
  * Register --streams / --zipf-theta / --arrival / --bursty / --seed
- * on @p cli.  --arrival is repeatable: each occurrence appends one
- * offered-load point to the sweep.
+ * on @p cli.  Each writes its field of the template @p plan, except
+ * --arrival: the offered load is a sweep axis, so each occurrence
+ * appends one mean gap to @p arrivalGaps.  --bursty leaves a
+ * --closed-pool plan closed-pool, whatever the flag order.
  */
 inline void
-addTrafficFlags(Cli &cli, TrafficOptions &opt)
+addTrafficFlags(Cli &cli, traffic::TrafficPlan &plan,
+                std::vector<double> &arrivalGaps)
 {
     cli.value("--streams", "N",
               "concurrent client streams (default 4)",
-              [&opt](const std::string &v) {
-                  opt.streams = toUnsigned(v);
-                  if (opt.streams < 1)
+              [&plan](const std::string &v) {
+                  plan.streams = toUnsigned(v);
+                  if (plan.streams < 1)
                       throw CliError{"--streams must be >= 1"};
               })
         .value("--zipf-theta", "T",
                "zipfian key skew in [0, 1) (default 0.99)",
-               [&opt](const std::string &v) {
-                   opt.zipfTheta = toF64(v);
-                   if (!(opt.zipfTheta >= 0.0 && opt.zipfTheta < 1.0))
+               [&plan](const std::string &v) {
+                   plan.mix.zipfTheta = toF64(v);
+                   if (!(plan.mix.zipfTheta >= 0.0 &&
+                         plan.mix.zipfTheta < 1.0))
                        throw CliError{"--zipf-theta must be in "
                                       "[0, 1)"};
                })
@@ -296,16 +287,20 @@ addTrafficFlags(Cli &cli, TrafficOptions &opt)
                "offered-load point: mean inter-arrival gap in cycles "
                "(> 0; repeatable -- each use appends one sweep "
                "point)",
-               [&opt](const std::string &v) {
+               [&arrivalGaps](const std::string &v) {
                    const double gap = toF64(v);
                    if (!(gap > 0.0))
                        throw CliError{"--arrival must be > 0"};
-                   opt.arrivalGaps.push_back(gap);
+                   arrivalGaps.push_back(gap);
                })
         .toggle("--bursty",
                 "two-state MMPP arrivals instead of Poisson",
-                [&opt] { opt.bursty = true; });
-    addSeedFlag(cli, opt.seed);
+                [&plan] {
+                    using traffic::ArrivalKind;
+                    if (plan.arrival.kind != ArrivalKind::ClosedPool)
+                        plan.arrival.kind = ArrivalKind::Bursty;
+                });
+    addSeedFlag(cli, plan.seed);
 }
 
 /** Parse an admission-policy name (see traffic/policy.hh). */
@@ -325,139 +320,113 @@ toAdmissionKind(const std::string &s)
 }
 
 /**
- * Serving-path overload knobs: the admission policy and its
- * parameters, retry budgets, the degradation ladder, the
- * warmup/window split and the closed-pool arrival option.  Range
- * checks beyond simple positivity live in validateTrafficPlan, so
- * the CLI and programmatic callers reject identically.
+ * Register the serving-path overload flags on @p cli: the admission
+ * policy and its parameters, retry budgets, the degradation ladder,
+ * the warmup/window split and the closed-pool arrival option.  Each
+ * writes its field of the template @p plan.  Range checks beyond
+ * simple positivity live in validateTrafficPlan, so the CLI and
+ * programmatic callers reject identically.
  */
-struct OverloadOptions
-{
-    traffic::OverloadPolicy policy;
-    int totalTxns = 0;            ///< 0 = txnsPerStream semantics.
-    unsigned warmupPermille = 125;
-    unsigned latencyWindows = 8;
-    bool closedPool = false;      ///< ClosedPool arrivals.
-    unsigned poolSize = 4;
-    double thinkTime = 2000.0;
-};
-
-/** Register the overload-policy flags on @p cli. */
 inline void
-addOverloadFlags(Cli &cli, OverloadOptions &opt)
+addOverloadFlags(Cli &cli, traffic::TrafficPlan &plan)
 {
     cli.value("--admission", "KIND",
               "admission policy: none | drop-tail | deadline | "
               "token-bucket (default none)",
-              [&opt](const std::string &v) {
-                  opt.policy.admission = toAdmissionKind(v);
+              [&plan](const std::string &v) {
+                  plan.policy.admission = toAdmissionKind(v);
               })
         .value("--queue-depth", "N",
                "finite service-queue depth before backpressure "
                "scaling (default 16)",
-               [&opt](const std::string &v) {
-                   opt.policy.queueDepth = toU64(v);
+               [&plan](const std::string &v) {
+                   plan.policy.queueDepth = toU64(v);
                })
         .value("--deadline", "C",
                "per-transaction deadline in cycles (deadline "
                "admission sheds predicted misses; any policy counts "
                "completions past it as timeouts)",
-               [&opt](const std::string &v) {
-                   opt.policy.deadline = toU64(v);
+               [&plan](const std::string &v) {
+                   plan.policy.deadline = toU64(v);
                })
         .value("--token-rate", "R",
                "token-bucket refill: tokens per 1024 cycles",
-               [&opt](const std::string &v) {
-                   opt.policy.tokenRatePerKCycle = toU64(v);
+               [&plan](const std::string &v) {
+                   plan.policy.tokenRatePerKCycle = toU64(v);
                })
         .value("--token-burst", "B", "token-bucket capacity",
-               [&opt](const std::string &v) {
-                   opt.policy.tokenBurst = toU64(v);
+               [&plan](const std::string &v) {
+                   plan.policy.tokenBurst = toU64(v);
                })
         .value("--retry-budget", "N",
                "client retries per stream before permanent failure "
                "(default 0 = no retries)",
-               [&opt](const std::string &v) {
-                   opt.policy.retryBudget = toU64(v);
+               [&plan](const std::string &v) {
+                   plan.policy.retryBudget = toU64(v);
                })
         .value("--retry-base", "C",
                "exponential-backoff base in cycles (default 256)",
-               [&opt](const std::string &v) {
-                   opt.policy.retryBackoffBase = toU64(v);
+               [&plan](const std::string &v) {
+                   plan.policy.retryBackoffBase = toU64(v);
                })
         .value("--retry-cap", "C",
                "backoff ceiling in cycles (default 8192)",
-               [&opt](const std::string &v) {
-                   opt.policy.retryBackoffCap = toU64(v);
+               [&plan](const std::string &v) {
+                   plan.policy.retryBackoffCap = toU64(v);
                })
         .toggle("--degrade",
                 "enable the graceful-degradation ladder (normal -> "
                 "read-mostly -> reject-all, hysteretic recovery)",
-                [&opt] { opt.policy.degrade = true; })
+                [&plan] { plan.policy.degrade = true; })
         .value("--shed-window", "N",
                "sliding pressure window for the ladder (default 32)",
-               [&opt](const std::string &v) {
-                   opt.policy.shedWindow = toUnsigned(v);
+               [&plan](const std::string &v) {
+                   plan.policy.shedWindow = toUnsigned(v);
                })
         .value("--degrade-permille", "P",
                "shed rate escalating the ladder (default 500)",
-               [&opt](const std::string &v) {
-                   opt.policy.degradePermille = toUnsigned(v);
+               [&plan](const std::string &v) {
+                   plan.policy.degradePermille = toUnsigned(v);
                })
         .value("--recover-permille", "P",
                "shed rate recovering one rung; must be below "
                "--degrade-permille (default 125)",
-               [&opt](const std::string &v) {
-                   opt.policy.recoverPermille = toUnsigned(v);
+               [&plan](const std::string &v) {
+                   plan.policy.recoverPermille = toUnsigned(v);
                })
         .value("--warmup-permille", "P",
                "leading fraction of each stream classified warmup "
                "(default 125)",
-               [&opt](const std::string &v) {
-                   opt.warmupPermille = toUnsigned(v);
+               [&plan](const std::string &v) {
+                   plan.warmupPermille = toUnsigned(v);
                })
         .value("--windows", "N",
                "latency time-series windows, 1..64 (default 8)",
-               [&opt](const std::string &v) {
-                   opt.latencyWindows = toUnsigned(v);
+               [&plan](const std::string &v) {
+                   plan.latencyWindows = toUnsigned(v);
                })
         .value("--total-txns", "N",
                "exact total transactions split round-robin across "
                "streams (0 = per-stream count)",
-               [&opt](const std::string &v) {
-                   opt.totalTxns = static_cast<int>(toUnsigned(v));
+               [&plan](const std::string &v) {
+                   plan.totalTxns = static_cast<int>(toUnsigned(v));
                })
         .value("--closed-pool", "N",
                "closed-loop arrivals from a pool of N clients per "
                "stream instead of open-loop",
-               [&opt](const std::string &v) {
-                   opt.closedPool = true;
-                   opt.poolSize = toUnsigned(v);
-                   if (opt.poolSize < 1)
+               [&plan](const std::string &v) {
+                   plan.arrival.kind = traffic::ArrivalKind::ClosedPool;
+                   plan.arrival.poolSize = toUnsigned(v);
+                   if (plan.arrival.poolSize < 1)
                        throw CliError{"--closed-pool must be >= 1"};
                })
         .value("--think-time", "T",
                "mean closed-pool think time in cycles (default 2000)",
-               [&opt](const std::string &v) {
-                   opt.thinkTime = toF64(v);
-                   if (opt.thinkTime < 0)
+               [&plan](const std::string &v) {
+                   plan.arrival.thinkTime = toF64(v);
+                   if (plan.arrival.thinkTime < 0)
                        throw CliError{"--think-time must be >= 0"};
                });
-}
-
-/** Fold @p o into @p plan (policy, split knobs, closed arrivals). */
-inline void
-applyOverload(traffic::TrafficPlan &plan, const OverloadOptions &o)
-{
-    plan.policy = o.policy;
-    plan.totalTxns = o.totalTxns;
-    plan.warmupPermille = o.warmupPermille;
-    plan.latencyWindows = o.latencyWindows;
-    if (o.closedPool) {
-        plan.arrival.kind = traffic::ArrivalKind::ClosedPool;
-        plan.arrival.poolSize = o.poolSize;
-        plan.arrival.thinkTime = o.thinkTime;
-    }
 }
 
 /** Register --isolate / --timeout-ms / ... / --resume on @p cli. */

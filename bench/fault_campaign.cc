@@ -4,7 +4,9 @@
  *
  * Sweeps crash points across every Table III configuration under the
  * NVM fault model (failed ADR drains, torn persists, transient accept
- * faults) and classifies each reconstructed-and-recovered image.
+ * faults) and classifies each reconstructed image through the model
+ * checkers' judges (undo-log recovery and the app oracle on one
+ * core, the kernel oracles on N cores).
  * Everything -- crash-point choice, per-point fault plans, the
  * transient-fault schedule -- derives from the single --seed value,
  * so any printed failure tuple replays exactly.
@@ -25,11 +27,13 @@
  *   accepted-but-undrained media writes.  The single-app flags
  *   (--app/--txns/--ops) do not apply; the shared flags keep their
  *   meaning.
- *   --jobs runs the per-config simulations and the crash-point
- *   classifications in parallel through the experiment scheduler
- *   (0 = hardware concurrency); results are bit-identical to
- *   --jobs 1 because every scenario derives only from the recorded
- *   persist events.
+ *   --jobs runs up to N configurations at once, in process or
+ *   isolated; each simulates and classifies its crash points
+ *   serially (0 = hardware concurrency).  Results are bit-identical
+ *   to --jobs 1 because every scenario derives only from its
+ *   configuration's recorded persist events.  Each configuration in
+ *   flight holds its run and persist-order graph, so peak memory
+ *   grows with N.
  *   --isolate forks one worker per configuration so a crash, hang or
  *   OOM quarantines that configuration instead of killing the
  *   campaign; --journal + --resume make an interrupted campaign
@@ -38,17 +42,16 @@
  * Exit status is non-zero when a safe configuration (B, IQ, WB)
  * produced an unrecoverable crash point -- Table III broken -- or
  * when any configuration was quarantined, so the campaign can gate
- * CI.
+ * CI.  Both campaigns report a structured simulator abort in process
+ * (SimFaultError) the same way: one line on stderr, exit 2.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "cli.hh"
-#include "common/logging.hh"
+#include "exp/sink.hh"
 #include "fault/campaign.hh"
 #include "fault/conc_campaign.hh"
 #include "sim/session.hh"
@@ -90,7 +93,7 @@ main(int argc, char **argv)
                    options.acceptFaultRate = toF64(v);
                })
         .value("--jobs", "N",
-               "parallel classifications (0 = hardware "
+               "parallel configurations (0 = hardware "
                "concurrency); results are bit-identical to --jobs 1",
                [&](const std::string &v) {
                    options.jobs = toUnsigned(v);
@@ -135,62 +138,47 @@ main(int argc, char **argv)
     addIsolationFlags(cli, options.isolation);
     cli.parse(argc, argv);
 
-    if (useConc) {
-        // Shared flags were parsed into the single-app options;
-        // forward them so both campaigns speak one CLI dialect.
-        conc.seed = options.seed;
-        conc.pointsPerConfig = options.pointsPerConfig;
-        conc.acceptFaultRate = options.acceptFaultRate;
-        conc.jobs = options.jobs;
-        conc.isolation = options.isolation;
+    bool ok = false;
+    bool unsafeUnexposed = false;
+    std::string json;
+    try {
+        if (useConc) {
+            // Shared flags were parsed into the single-app options;
+            // forward them so both campaigns speak one CLI dialect.
+            conc.seed = options.seed;
+            conc.pointsPerConfig = options.pointsPerConfig;
+            conc.acceptFaultRate = options.acceptFaultRate;
+            conc.jobs = options.jobs;
+            conc.isolation = options.isolation;
 
-        ConcCampaignReport report;
-        try {
-            report = runConcCampaign(conc);
-        } catch (const SimFaultError &e) {
-            return bench::reportUsageFault("fault_campaign", e);
+            const ConcCampaignReport report = runConcCampaign(conc);
+            std::fputs(report.describe().c_str(), stdout);
+            ok = report.ok();
+            if (!jsonPath.empty())
+                json = concCampaignToJson(report);
+        } else {
+            const CampaignReport report = runCampaign(options);
+            std::fputs(report.describe().c_str(), stdout);
+            ok = report.ok();
+            if (!jsonPath.empty())
+                json = campaignToJson(report);
+            unsafeUnexposed = report.quarantined.empty();
+            for (const CampaignConfigResult &c : report.configs) {
+                if (c.config == Config::U && c.unrecoverable > 0)
+                    unsafeUnexposed = false;
+            }
         }
-        std::fputs(report.describe().c_str(), stdout);
-
-        if (!jsonPath.empty()) {
-            std::ofstream out(jsonPath,
-                              std::ios::binary | std::ios::trunc);
-            if (!out)
-                ede_fatal("cannot write JSON artifact '", jsonPath,
-                          "'");
-            out << concCampaignToJson(report);
-            out.close();
-            if (!out)
-                ede_fatal("short write on JSON artifact '", jsonPath,
-                          "'");
-            std::printf("[campaign] wrote %s\n", jsonPath.c_str());
-        }
-        return report.ok() ? 0 : 1;
+    } catch (const SimFaultError &e) {
+        return bench::reportUsageFault("fault_campaign", e);
     }
-
-    const CampaignReport report = runCampaign(options);
-    std::fputs(report.describe().c_str(), stdout);
 
     if (!jsonPath.empty()) {
-        std::ofstream out(jsonPath,
-                          std::ios::binary | std::ios::trunc);
-        if (!out)
-            ede_fatal("cannot write JSON artifact '", jsonPath, "'");
-        out << campaignToJson(report);
-        out.close();
-        if (!out)
-            ede_fatal("short write on JSON artifact '", jsonPath, "'");
+        exp::writeArtifact(jsonPath, json);
         std::printf("[campaign] wrote %s\n", jsonPath.c_str());
     }
-
-    bool unsafe_exposed = false;
-    for (const CampaignConfigResult &c : report.configs) {
-        if (c.config == Config::U && c.unrecoverable > 0)
-            unsafe_exposed = true;
-    }
-    if (!unsafe_exposed && report.quarantined.empty()) {
+    if (unsafeUnexposed) {
         std::printf("note: U produced no unrecoverable point at this "
                     "seed/scale; widen --points or --txns\n");
     }
-    return report.ok() ? 0 : 1;
+    return ok ? 0 : 1;
 }

@@ -56,10 +56,9 @@ namespace {
 
 struct Options
 {
-    TrafficOptions traffic;   ///< --streams / --zipf-theta / ...
-    OverloadOptions overload; ///< --admission / --deadline / ...
-    int txnsPerStream = 96;
-    int opsPerTxn = 4;
+    /** Every cell's plan but its mean gap; the flags write it. */
+    traffic::TrafficPlan plan;
+    std::vector<double> arrivalGaps; ///< --arrival; empty = default.
     int cores = 2;
     bool smoke = false;
     bool checkKnee = false;
@@ -78,17 +77,8 @@ cellLabel(Config cfg, double gap)
 traffic::TrafficPlan
 makePlan(const Options &opt, double gap)
 {
-    traffic::TrafficPlan plan;
-    plan.streams = opt.traffic.streams;
-    plan.txnsPerStream = opt.txnsPerStream;
-    plan.opsPerTxn = opt.opsPerTxn;
-    plan.mix.zipfTheta = opt.traffic.zipfTheta;
-    plan.arrival.kind = opt.traffic.bursty
-                            ? traffic::ArrivalKind::Bursty
-                            : traffic::ArrivalKind::Poisson;
+    traffic::TrafficPlan plan = opt.plan;
     plan.arrival.meanGap = gap;
-    plan.seed = opt.traffic.seed;
-    applyOverload(plan, opt.overload);
     return plan;
 }
 
@@ -212,7 +202,7 @@ runCheckShed(const Options &opt, const std::vector<Config> &configs,
             return 1;
         }
         kneeGaps[i] = std::max(
-            1.0, meanService * opt.traffic.streams / opt.cores);
+            1.0, meanService * opt.plan.streams / opt.cores);
         deadlines[i] = static_cast<Cycle>(6.0 * meanService);
         for (double gap : {kneeGaps[i], kneeGaps[i] / 2}) {
             for (bool shed : {false, true}) {
@@ -302,19 +292,21 @@ int
 main(int argc, char **argv)
 {
     Options opt;
+    opt.plan.txnsPerStream = 96;  // This bench's --txns default.
     Cli cli("fig_traffic");
     cli.value("--txns", "N",
               "transactions per stream (default 96)",
               [&opt](const std::string &v) {
-                  opt.txnsPerStream = static_cast<int>(toUnsigned(v));
-                  if (opt.txnsPerStream < 1)
+                  opt.plan.txnsPerStream =
+                      static_cast<int>(toUnsigned(v));
+                  if (opt.plan.txnsPerStream < 1)
                       throw CliError{"--txns must be >= 1"};
               })
         .value("--ops", "N", "key operations per transaction "
                              "(default 4)",
                [&opt](const std::string &v) {
-                   opt.opsPerTxn = static_cast<int>(toUnsigned(v));
-                   if (opt.opsPerTxn < 1)
+                   opt.plan.opsPerTxn = static_cast<int>(toUnsigned(v));
+                   if (opt.plan.opsPerTxn < 1)
                        throw CliError{"--ops must be >= 1"};
                })
         .value("--cores", "N", "cores serving the streams (default 2)",
@@ -335,8 +327,8 @@ main(int argc, char **argv)
                 "rate at 2x the overload knee while the unprotected "
                 "p99 diverges",
                 [&opt] { opt.checkShed = true; });
-    addTrafficFlags(cli, opt.traffic);
-    addOverloadFlags(cli, opt.overload);
+    addTrafficFlags(cli, opt.plan, opt.arrivalGaps);
+    addOverloadFlags(cli, opt.plan);
     addCommonFlags(cli, opt.common);
     cli.parse(argc, argv);
 
@@ -346,10 +338,10 @@ main(int argc, char **argv)
     std::vector<double> gaps{4000, 2000, 1000, 500, 250, 125};
     if (opt.smoke) {
         gaps = {6000, 60};
-        opt.txnsPerStream = std::min(opt.txnsPerStream, 32);
+        opt.plan.txnsPerStream = std::min(opt.plan.txnsPerStream, 32);
     }
-    if (!opt.traffic.arrivalGaps.empty()) {
-        gaps = opt.traffic.arrivalGaps;
+    if (!opt.arrivalGaps.empty()) {
+        gaps = opt.arrivalGaps;
         std::sort(gaps.begin(), gaps.end(),
                   [](double a, double b) { return a > b; });
     }
@@ -357,12 +349,10 @@ main(int argc, char **argv)
     std::printf("== Open-loop traffic: %u streams on %d cores, "
                 "%d txns/stream, theta %s, %s arrivals, seed %llu "
                 "==\n\n",
-                opt.traffic.streams, opt.cores, opt.txnsPerStream,
-                fmtDouble(opt.traffic.zipfTheta, 2).c_str(),
-                opt.overload.closedPool
-                    ? "closed-pool"
-                    : (opt.traffic.bursty ? "bursty" : "poisson"),
-                static_cast<unsigned long long>(opt.traffic.seed));
+                opt.plan.streams, opt.cores, opt.plan.txnsPerStream,
+                fmtDouble(opt.plan.mix.zipfTheta, 2).c_str(),
+                traffic::arrivalKindName(opt.plan.arrival.kind).data(),
+                static_cast<unsigned long long>(opt.plan.seed));
 
     exp::RunnerOptions ro;
     ro.jobs = opt.common.jobs;
@@ -381,7 +371,7 @@ main(int argc, char **argv)
     }
     const exp::ExperimentResults results = exp::runPlan(plan, ro);
 
-    const bool policyActive = opt.overload.policy.active();
+    const bool policyActive = opt.plan.policy.active();
     for (Config cfg : configs) {
         TextTable t({"mean gap", "cycles", "svc p50", "svc p99",
                      "open p50", "open p99", "open p99.9",

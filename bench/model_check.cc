@@ -44,11 +44,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 
 #include "cli.hh"
-#include "common/logging.hh"
+#include "exp/sink.hh"
 #include "fault/conc_check.hh"
 #include "fault/model_check/checker.hh"
 #include "sim/session.hh"
@@ -198,14 +197,7 @@ main(int argc, char **argv)
     }
 
     if (!jsonPath.empty()) {
-        std::ofstream out(jsonPath,
-                          std::ios::binary | std::ios::trunc);
-        if (!out)
-            ede_fatal("cannot write JSON artifact '", jsonPath, "'");
-        out << json;
-        out.close();
-        if (!out)
-            ede_fatal("short write on JSON artifact '", jsonPath, "'");
+        exp::writeArtifact(jsonPath, json);
         std::printf("[model-check] wrote %s\n", jsonPath.c_str());
     }
     return ok ? 0 : 1;

@@ -11,6 +11,7 @@
 #include "pipeline/sim_error.hh"
 #include "sim/session.hh"
 #include "trace/builder.hh"
+#include "trace/lowering.hh"
 
 namespace ede {
 namespace {
@@ -91,52 +92,6 @@ struct CoreGen
     TempRegPool temps;
     int nodesUsed = 0;  ///< Arena bump cursor.
 };
-
-/**
- * The persist->publish ordering token (see file comment of
- * concurrent.hh): emitted between a DC CVAP and the store that
- * publishes the persisted data.  EDE configs carry the dependence on
- * the key operands instead; U omits ordering entirely.
- */
-void
-emitOrderingToken(TraceBuilder &b, Config cfg)
-{
-    switch (cfg) {
-      case Config::B:
-        b.dsbSy();
-        break;
-      case Config::SU:
-        b.dmbSt();
-        break;
-      case Config::IQ:
-      case Config::WB:
-      case Config::U:
-        break;
-    }
-}
-
-/** The drain barrier (grace period / lock release / durable read). */
-void
-emitDrain(TraceBuilder &b, Config cfg, Edk key, bool all_keys)
-{
-    switch (cfg) {
-      case Config::B:
-        b.dsbSy();
-        break;
-      case Config::SU:
-        b.dmbSt();
-        break;
-      case Config::IQ:
-      case Config::WB:
-        if (all_keys)
-            b.waitAllKeys();
-        else
-            b.waitKey(key);
-        break;
-      case Config::U:
-        break;
-    }
-}
 
 /**
  * Make persists another core issued durable before a dependent local
@@ -484,7 +439,7 @@ buildRwLock(const ConcParams &p)
             // The record must be durable before the stamp claims it
             // is: a durable stamp v asserts every record line holds
             // version >= v.
-            emitDrain(g.b, p.cfg, k, /*all_keys=*/false);
+            emitDrain(g.b, p.cfg, k);
             const RegIndex r_st = g.temps.get();
             g.b.movImm(r_st, static_cast<std::int64_t>(version));
             g.b.str(r_st, r_lock, kConcRwStamp, version);
@@ -627,7 +582,7 @@ buildRcuList(const ConcParams &p)
             g.b.cvap(r_p, pred, ede ? EdkOps{k, 0} : EdkOps{});
             // Grace period: every core's keyed persists must drain
             // before the old node can be poisoned.
-            emitDrain(g.b, p.cfg, k, /*all_keys=*/true);
+            emitDrain(g.b, p.cfg, k, /*allKeys=*/true);
             const RegIndex r_x = g.temps.get();
             g.b.str(r_x, r_n, old, 0xdead);
             wl.model.listNodes[node] = version;

@@ -94,25 +94,6 @@ WorkloadHarness::simulate()
     }
     system_->core().watchCompletion(setupEndIdx_);
     const Cycle cycles = system_->run(trace_);
-    // Tests and benches expect a completed run; a watchdog or
-    // max-cycles abort is fatal here, but now dies with the full
-    // structured dump instead of a one-line panic.
-    if (const SimError &err = system_->core().simError()) {
-        ede_panic("simulation aborted\n", err.describe());
-    }
-    return cycles;
-}
-
-Cycle
-WorkloadHarness::simulateChecked()
-{
-    ede_assert(generated_, "generate() before simulate()");
-    ede_assert(!simulated_, "simulate() is single-shot");
-    simulated_ = true;
-    if (auditing_)
-        baselineNvm_ = system_->nvmImage();
-    system_->core().watchCompletion(setupEndIdx_);
-    const Cycle cycles = system_->run(trace_);
     if (const SimError &err = system_->core().simError())
         throw SimFaultError(err);
     return cycles;

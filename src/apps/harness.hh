@@ -43,16 +43,13 @@ class WorkloadHarness
     /** Functionally execute the workload, emitting the trace. */
     void generate();
 
-    /** Run the timing simulation. @return total cycles. */
-    Cycle simulate();
-
     /**
-     * As simulate(), but a structured simulator abort (watchdog,
-     * max-cycles, EDK dependence cycle) raises SimFaultError instead
-     * of panicking, so isolated experiment workers can classify it
-     * as a typed SimFault failure record.
+     * Run the timing simulation. @return total cycles.  A structured
+     * simulator abort (watchdog, max-cycles, EDK dependence cycle)
+     * raises SimFaultError, so isolated experiment workers can
+     * classify it as a typed SimFault failure record.
      */
-    Cycle simulateChecked();
+    Cycle simulate();
 
     /**
      * Cycles spent in the transaction phase (total minus setup).

@@ -23,8 +23,7 @@ namespace {
  * run length.
  */
 ExperimentCell
-simulateConcCell(const ExperimentPoint &point, std::uint64_t fp,
-                 bool checked)
+simulateConcCell(const ExperimentPoint &point, std::uint64_t fp)
 {
     const LogJobTag tag(point.label);
     ConcParams cp;
@@ -40,12 +39,8 @@ simulateConcCell(const ExperimentPoint &point, std::uint64_t fp,
                         .withMem(point.simParams.mem)
                         .withCoreCount(point.simParams.coreCount));
     const SimResult r = session.run(RunRequest::perCore(traces));
-    if (checked && !r.ok())
+    if (!r.ok())
         throw SimFaultError(r.error);
-    if (!r.ok()) {
-        ede_fatal("conc cell '", point.label, "' aborted: ",
-                  r.error.describe());
-    }
     ExperimentCell cell;
     cell.point = point;
     cell.fingerprint = fp;
@@ -61,8 +56,7 @@ simulateConcCell(const ExperimentPoint &point, std::uint64_t fp,
  * result carries the exact tail-latency records in stats.traffic.
  */
 ExperimentCell
-simulateTrafficCell(const ExperimentPoint &point, std::uint64_t fp,
-                    bool checked)
+simulateTrafficCell(const ExperimentPoint &point, std::uint64_t fp)
 {
     const LogJobTag tag(point.label);
     Session session(SimConfig::paper(point.config)
@@ -71,12 +65,8 @@ simulateTrafficCell(const ExperimentPoint &point, std::uint64_t fp,
                         .withCoreCount(point.simParams.coreCount));
     const SimResult r =
         session.run(RunRequest::ofTraffic(point.trafficPlan));
-    if (checked && !r.ok())
+    if (!r.ok())
         throw SimFaultError(r.error);
-    if (!r.ok()) {
-        ede_fatal("traffic cell '", point.label, "' aborted: ",
-                  r.error.describe());
-    }
     ExperimentCell cell;
     cell.point = point;
     cell.fingerprint = fp;
@@ -89,25 +79,21 @@ simulateTrafficCell(const ExperimentPoint &point, std::uint64_t fp,
 /**
  * Simulate one plan point.  Shared verbatim by the in-process path
  * and the forked worker, so isolated results are bit-identical to
- * inline ones.  @p checked selects SimFaultError over panic on a
- * structured simulator abort.
+ * inline ones; a structured simulator abort raises SimFaultError on
+ * both.
  */
 ExperimentCell
-simulateCell(const ExperimentPoint &point, std::uint64_t fp,
-             bool checked)
+simulateCell(const ExperimentPoint &point, std::uint64_t fp)
 {
     if (point.traffic)
-        return simulateTrafficCell(point, fp, checked);
+        return simulateTrafficCell(point, fp);
     if (point.conc)
-        return simulateConcCell(point, fp, checked);
+        return simulateConcCell(point, fp);
     const LogJobTag tag(point.label);
     WorkloadHarness h(point.app, point.config, point.spec,
                       point.appParams, point.simParams);
     h.generate();
-    if (checked)
-        h.simulateChecked();
-    else
-        h.simulate();
+    h.simulate();
     ExperimentCell cell;
     cell.point = point;
     cell.fingerprint = fp;
@@ -169,7 +155,7 @@ runPlan(const ExperimentPlan &plan, const RunnerOptions &options)
             const std::uint64_t fp = fingerprintPoint(points[i]);
             if (cached(i, fp))
                 return;
-            cells[i] = simulateCell(points[i], fp, /*checked=*/false);
+            cells[i] = simulateCell(points[i], fp);
             if (cache)
                 cache->store(cells[i]);
         });
@@ -178,8 +164,8 @@ runPlan(const ExperimentPlan &plan, const RunnerOptions &options)
         for (const ExperimentPoint &point : points)
             sweep.jobs.push_back({point.label, fingerprintPoint(point)});
         sweep.work = [&](std::size_t i) {
-            return serializeCell(simulateCell(
-                points[i], sweep.jobs[i].fingerprint, /*checked=*/true));
+            return serializeCell(
+                simulateCell(points[i], sweep.jobs[i].fingerprint));
         };
         sweep.accept = [&](std::size_t i, const std::string &payload,
                            bool replayed) {

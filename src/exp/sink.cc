@@ -84,16 +84,22 @@ resultsToJson(const std::string &benchName,
 }
 
 void
-writeJsonArtifact(const std::string &path, const std::string &benchName,
-                  const ExperimentResults &results)
+writeArtifact(const std::string &path, const std::string &text)
 {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out)
         ede_fatal("cannot write JSON artifact '", path, "'");
-    out << resultsToJson(benchName, results);
+    out << text;
     out.close();
     if (!out)
         ede_fatal("short write on JSON artifact '", path, "'");
+}
+
+void
+writeJsonArtifact(const std::string &path, const std::string &benchName,
+                  const ExperimentResults &results)
+{
+    writeArtifact(path, resultsToJson(benchName, results));
     std::printf("[exp] wrote %s (%zu cells)\n", path.c_str(),
                 results.size());
 }

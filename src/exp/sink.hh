@@ -23,6 +23,12 @@ std::string resultsToJson(const std::string &benchName,
                           const ExperimentResults &results);
 
 /**
+ * Write @p text to the artifact file @p path, replacing it; an
+ * unwritable path or a short write is fatal.
+ */
+void writeArtifact(const std::string &path, const std::string &text);
+
+/**
  * Write @p results as JSON to @p path (fatal on I/O error) and
  * report the artifact on stdout.
  */

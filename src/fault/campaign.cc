@@ -1,17 +1,12 @@
 #include "fault/campaign.hh"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 
 #include "apps/harness.hh"
 #include "common/logging.hh"
 #include "exp/fields.hh"
-#include "exp/scheduler.hh"
-#include "fault/crash_image.hh"
 #include "fault/model_check/checker.hh"
-#include "nvm/undo_log.hh"
-#include "sim/session.hh"
 
 namespace ede {
 
@@ -91,45 +86,17 @@ selectCrashPoints(const WorkloadHarness &h, std::size_t budget)
     return points;
 }
 
-/** Reconstruct, recover, classify one crash point under @p plan. */
-CrashPointResult
-classifyPoint(const WorkloadHarness &h, Cycle crashCycle,
-              const FaultPlan &plan, const PersistOrderGraph *order)
-{
-    const System &sys = h.system();
-    MemoryImage img = h.baselineNvm();
-    applyFaultyPersistEvents(
-        img, sys.persistEvents(), sys.mediaWriteEvents(), crashCycle,
-        plan, sys.mem().controller().nvm().params().lineBytes, order);
-    const RecoveryResult rec =
-        recoverUndoLog(img, h.framework().logLayout());
-
-    CrashPointResult r;
-    r.crashCycle = crashCycle;
-    r.plan = plan;
-    r.entriesTorn = rec.entriesTorn;
-    if (h.app().checkRecovered(img)) {
-        r.outcome = rec.entriesTorn ? CrashOutcome::TornLogDetected
-                                    : CrashOutcome::Recovered;
-    } else {
-        r.outcome = CrashOutcome::Unrecoverable;
-    }
-    return r;
-}
-
 /**
  * Simulate one configuration's workload with the transient-fault
- * injector installed.  Self-contained (own System), so configurations
- * simulate in parallel.
+ * injector installed, then classify its crash points: the campaign's
+ * per-configuration job.
  */
-std::unique_ptr<WorkloadHarness>
-simulateConfig(const CampaignOptions &options, Config cfg,
-               bool checked = false)
+CampaignConfigResult
+campaignConfig(const CampaignOptions &options, Config cfg)
 {
     const LogJobTag tag("campaign/" + std::string(configName(cfg)));
-    auto h = std::make_unique<WorkloadHarness>(options.app, cfg,
-                                               options.spec);
-    h->enableAudit();
+    WorkloadHarness h(options.app, cfg, options.spec);
+    h.enableAudit();
 
     // Transient accept faults pressure the whole simulated run; the
     // controller's bounded-backoff retries must absorb them without
@@ -137,83 +104,25 @@ simulateConfig(const CampaignOptions &options, Config cfg,
     FaultPlan sim_plan;
     sim_plan.seed = mixSeed(options.seed, configSalt(cfg));
     sim_plan.acceptFaultRate = options.acceptFaultRate;
-    h->system().mem().controller().nvm().setAcceptFaultHook(
+    h.system().mem().controller().nvm().setAcceptFaultHook(
         makeAcceptFaultInjector(sim_plan));
 
-    h->generate();
-    if (checked)
-        h->simulateChecked();  // SimFaultError, classifiable by a worker.
-    else
-        h->simulate();
-    return h;
-}
+    h.generate();
+    h.simulate();
 
-/**
- * Classify every crash point of one simulated configuration.  The
- * reconstruction of each point is pure given the recorded persist
- * events, so the cells dispatch through the scheduler; tallying and
- * failure shrinking walk the classified points serially in point
- * order, keeping the report byte-identical for any job count.
- */
-CampaignConfigResult
-classifyConfig(const CampaignOptions &options, Config cfg,
-               const WorkloadHarness &h, const exp::Scheduler &sched)
-{
     CampaignConfigResult result;
     result.config = cfg;
     result.cycles = h.system().core().stats().cycles;
-    result.transientRejects =
-        h.system().mem().controller().nvm().stats().transientRejects;
-
-    const std::uint64_t plan_seed =
-        mixSeed(options.seed, configSalt(cfg));
-    const std::uint32_t wpq_slots =
-        h.system().mem().controller().nvm().params().bufferSlots;
-    const std::vector<Cycle> points =
-        selectCrashPoints(h, options.pointsPerConfig);
+    std::vector<CrashPointResult> points;
+    for (Cycle c : selectCrashPoints(h, options.pointsPerConfig))
+        points.emplace_back().crashCycle = c;
 
     // The run's persist-order partial order generalizes each point's
     // torn persist from "last accepted" to any frontier event of the
     // durable prefix (see applyFaultyPersistEvents).
     const PersistOrderGraph order = buildPersistOrder(h);
-
-    result.results = sched.map<CrashPointResult>(
-        points.size(), [&](std::size_t i) {
-            const FaultPlan plan = makeFaultPlan(
-                mixSeed(plan_seed, 0x6001 + i), wpq_slots);
-            return classifyPoint(h, points[i], plan, &order);
-        });
-
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const CrashPointResult &r = result.results[i];
-        ++result.points;
-        switch (r.outcome) {
-          case CrashOutcome::Recovered:
-            ++result.recovered;
-            break;
-          case CrashOutcome::TornLogDetected:
-            ++result.tornDetected;
-            break;
-          case CrashOutcome::Unrecoverable:
-            ++result.unrecoverable;
-            if (!configIsUnsafe(cfg)) {
-                Reproducer rep;
-                rep.seed = options.seed;
-                rep.config = cfg;
-                rep.crashCycle = points[i];
-                // The reconstruction is pure, so re-classifying each
-                // weaker plan is cheap.
-                rep.plan = weakestFailingPlan(
-                    r.plan, [&](const FaultPlan &p) {
-                        return classifyPoint(h, points[i], p, &order)
-                                   .outcome ==
-                               CrashOutcome::Unrecoverable;
-                    });
-                result.failures.push_back(std::move(rep));
-            }
-            break;
-        }
-    }
+    classifyCrashPoints(h, order, undoLogJudge(h), std::move(points),
+                        options.seed, /*pointSalt=*/0x6001, result);
     return result;
 }
 
@@ -318,37 +227,9 @@ runCampaign(const CampaignOptions &options)
 {
     return runConfigSweep<CampaignReport>(
         {"campaign", "campaign-result", "campaign"}, options,
-        campaignSweepId(options), deserializeConfigResult,
-        // The isolated child simulates and classifies serially: the
-        // worker *is* the parallel unit.
-        [&](Config cfg) {
-            const std::unique_ptr<WorkloadHarness> h =
-                simulateConfig(options, cfg, /*checked=*/true);
-            return serializeConfigResult(
-                classifyConfig(options, cfg, *h, exp::Scheduler(1)));
-        },
-        [&] {
-            const exp::Scheduler sched(options.jobs);
-
-            // Phase 1: every configuration's simulation is
-            // independent.
-            std::vector<std::unique_ptr<WorkloadHarness>> harnesses =
-                sched.map<std::unique_ptr<WorkloadHarness>>(
-                    options.configs.size(), [&](std::size_t i) {
-                        return simulateConfig(options,
-                                              options.configs[i]);
-                    });
-
-            // Phase 2: per-point classification, parallel within
-            // each configuration, tallied in deterministic point
-            // order.
-            std::vector<CampaignConfigResult> configs;
-            for (std::size_t i = 0; i < options.configs.size(); ++i) {
-                configs.push_back(classifyConfig(
-                    options, options.configs[i], *harnesses[i], sched));
-            }
-            return configs;
-        });
+        campaignSweepId(options), serializeConfigResult,
+        deserializeConfigResult,
+        [&](Config cfg) { return campaignConfig(options, cfg); });
 }
 
 } // namespace ede

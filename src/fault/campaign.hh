@@ -12,8 +12,9 @@
  *     the inter-commit windows so every transaction's commit protocol
  *     is probed, not just the cycles where persists cluster;
  *  3. reconstructs the adversarial crash image for each point under a
- *     per-point FaultPlan (ADR drain budget + torn final persist),
- *     runs undo-log recovery, and classifies the outcome;
+ *     per-point FaultPlan (ADR drain budget + torn final persist) and
+ *     classifies it through the model checker's judge (undoLogJudge:
+ *     undo-log recovery, then the application's oracle);
  *  4. for safe-configuration failures, shrinks the fault plan to the
  *     weakest one that still fails and records a minimal
  *     {seed, config, crashCycle, faultPlan} reproducer.
@@ -127,11 +128,12 @@ struct CampaignOptions
     std::vector<Config> configs{kAllConfigs.begin(), kAllConfigs.end()};
 
     /**
-     * Parallel jobs for the per-config simulations and the
-     * crash-point classifications (both dispatched through the
-     * experiment scheduler; every scenario derives only from the
-     * recorded persist events, so results are bit-identical for any
-     * job count).  0 = hardware concurrency; default 1 = serial.
+     * Configurations run in parallel, in process or isolated.  Each
+     * configuration simulates and classifies serially, and every
+     * scenario derives only from its recorded persist events, so
+     * results are bit-identical for any job count.  Each
+     * configuration in flight holds its run and persist-order graph.
+     * 0 = hardware concurrency; default 1 = serial.
      */
     unsigned jobs = 1;
 
@@ -139,9 +141,9 @@ struct CampaignOptions
      * Fork one worker per configuration: the child simulates and
      * classifies the whole config serially and ships the serialized
      * CampaignConfigResult back; a crash/hang/OOM quarantines that
-     * configuration instead of killing the campaign.  Results are
-     * bit-identical to the in-process path (the serialization is
-     * exact).  With a journal, configs already journaled by a
+     * configuration instead of killing the campaign.  The child runs
+     * the in-process path's job and the serialization is exact, so
+     * results are bit-identical to it.  With a journal, configs already journaled by a
      * compatible run are replayed on `resume` instead of
      * re-simulated.  `chaosLabel` names a configuration.
      */

@@ -1,15 +1,13 @@
 #include "fault/conc_campaign.hh"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 
 #include "common/logging.hh"
 #include "exp/fields.hh"
-#include "exp/scheduler.hh"
 #include "fault/conc_check.hh"
-#include "fault/crash_image.hh"
 #include "fault/fault_plan.hh"
+#include "fault/model_check/checker.hh"
 
 namespace ede {
 
@@ -37,21 +35,15 @@ remoteOutstandingAt(const PersistOrderGraph &g,
     return false;
 }
 
-/** Selected crash cycles plus their remote-outstanding flags. */
-struct ConcCrashPoints
-{
-    std::vector<Cycle> cycles;
-    std::vector<bool> remote;
-};
-
 /**
  * Candidate crash cycles at persist boundaries, stratified toward
  * the remote-outstanding window: when the budget is smaller than the
  * candidate set, ~3/4 of it goes to cycles where a remote core's
  * media writes are pending and the rest to the others, each picked
- * evenly spaced.  @p budget 0 means exhaustive.
+ * evenly spaced.  @p budget 0 means exhaustive.  Each point's record
+ * carries its crash cycle and remote-outstanding flag.
  */
-ConcCrashPoints
+std::vector<ConcCrashPointResult>
 selectConcCrashPoints(const PersistOrderGraph &g,
                       const std::vector<PersistEvent> &events,
                       std::size_t budget)
@@ -106,62 +98,31 @@ selectConcCrashPoints(const PersistOrderGraph &g,
         merged.emplace_back(c, false);
     std::sort(merged.begin(), merged.end());
 
-    ConcCrashPoints points;
-    points.cycles.reserve(merged.size());
-    points.remote.reserve(merged.size());
-    for (const auto &[c, r] : merged) {
-        points.cycles.push_back(c);
-        points.remote.push_back(r);
+    std::vector<ConcCrashPointResult> points(merged.size());
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+        points[i].crashCycle = merged[i].first;
+        points[i].remoteOutstanding = merged[i].second;
     }
     return points;
 }
 
-/** Reconstruct and judge one multi-core crash point under @p plan. */
-ConcCrashPointResult
-classifyConcPoint(const ConcurrentHarness &h,
-                  const PersistOrderGraph &order, Cycle crashCycle,
-                  const FaultPlan &plan)
-{
-    MemoryImage img = h.baselineNvm();
-    applyFaultyPersistEvents(img, h.system().persistEvents(),
-                             h.system().mediaWriteEvents(),
-                             crashCycle, plan, h.mediaLineBytes(),
-                             &order);
-
-    ConcCrashPointResult r;
-    r.crashCycle = crashCycle;
-    r.plan = plan;
-    if (const char *inv = checkConcInvariants(h.model(), img)) {
-        r.outcome = CrashOutcome::Unrecoverable;
-        r.invariant = inv;
-    } else {
-        r.outcome = CrashOutcome::Recovered;
-    }
-    return r;
-}
-
-/** One simulated configuration for the campaign. */
-struct SimulatedConcCampaign
-{
-    std::unique_ptr<ConcurrentHarness> harness;
-    Cycle cycles = 0;
-};
-
-SimulatedConcCampaign
-simulateConcCampaignConfig(const ConcCampaignOptions &options,
-                           Config cfg)
+/**
+ * Simulate one configuration's kernel with the transient-fault
+ * injector installed, then classify its crash points: the
+ * campaign's per-configuration job.
+ */
+ConcCampaignConfigResult
+concCampaignConfig(const ConcCampaignOptions &options, Config cfg)
 {
     const LogJobTag tag("conc-campaign/" +
                         std::string(configName(cfg)));
-    SimulatedConcCampaign sim;
     ConcParams p;
     p.cfg = cfg;
     p.cores = options.cores;
     p.opsPerCore = options.opsPerCore;
     p.seed = options.workloadSeed;
     p.paced = true;
-    sim.harness = std::make_unique<ConcurrentHarness>(
-        options.app, p, options.mediaFactor);
+    ConcurrentHarness h(options.app, p, options.mediaFactor);
 
     // Transient accept faults pressure the whole simulated run, same
     // as the single-core campaign: the controller's retries must
@@ -169,81 +130,20 @@ simulateConcCampaignConfig(const ConcCampaignOptions &options,
     FaultPlan sim_plan;
     sim_plan.seed = mixSeed(options.seed, configSalt(cfg));
     sim_plan.acceptFaultRate = options.acceptFaultRate;
-    sim.harness->system().mem().controller().nvm().setAcceptFaultHook(
+    h.system().mem().controller().nvm().setAcceptFaultHook(
         makeAcceptFaultInjector(sim_plan));
 
-    sim.harness->generate();
-    sim.cycles = sim.harness->simulateChecked();
-    return sim;
-}
-
-/**
- * Classify every crash point of one simulated configuration.  Point
- * reconstruction is pure given the recorded events, so the cells
- * dispatch through the scheduler; tallying and failure shrinking
- * walk point order serially, keeping the report byte-identical for
- * any job count.
- */
-ConcCampaignConfigResult
-classifyConcConfig(const ConcCampaignOptions &options, Config cfg,
-                   const SimulatedConcCampaign &sim,
-                   const exp::Scheduler &sched)
-{
-    const ConcurrentHarness &h = *sim.harness;
+    h.generate();
     ConcCampaignConfigResult result;
     result.config = cfg;
-    result.cycles = sim.cycles;
-    result.transientRejects =
-        h.system().mem().controller().nvm().stats().transientRejects;
-
-    const std::uint64_t plan_seed =
-        mixSeed(options.seed, configSalt(cfg));
-    const std::uint32_t wpq_slots =
-        h.system().mem().controller().nvm().params().bufferSlots;
+    result.cycles = h.simulateChecked();
 
     const PersistOrderGraph order = buildConcPersistOrder(h);
-    const ConcCrashPoints points = selectConcCrashPoints(
-        order, h.system().persistEvents(), options.pointsPerConfig);
-
-    result.results = sched.map<ConcCrashPointResult>(
-        points.cycles.size(), [&](std::size_t i) {
-            const FaultPlan plan = makeFaultPlan(
-                mixSeed(plan_seed, 0x6101 + i), wpq_slots);
-            ConcCrashPointResult r = classifyConcPoint(
-                h, order, points.cycles[i], plan);
-            r.remoteOutstanding = points.remote[i];
-            return r;
-        });
-
-    for (std::size_t i = 0; i < points.cycles.size(); ++i) {
-        const ConcCrashPointResult &r = result.results[i];
-        ++result.points;
-        if (r.remoteOutstanding)
-            ++result.remotePoints;
-        switch (r.outcome) {
-          case CrashOutcome::Recovered:
-          case CrashOutcome::TornLogDetected:
-            ++result.recovered;
-            break;
-          case CrashOutcome::Unrecoverable:
-            ++result.unrecoverable;
-            if (!configIsUnsafe(cfg)) {
-                ConcReproducer rep;
-                rep.seed = options.seed;
-                rep.config = cfg;
-                rep.crashCycle = points.cycles[i];
-                rep.plan = weakestFailingPlan(
-                    r.plan, [&](const FaultPlan &p) {
-                        const ConcCrashPointResult c = classifyConcPoint(
-                            h, order, points.cycles[i], p);
-                        rep.invariant = c.invariant;
-                        return c.outcome == CrashOutcome::Unrecoverable;
-                    });
-                result.failures.push_back(std::move(rep));
-            }
-            break;
-        }
-    }
+    classifyCrashPoints(h, order, concJudge(h.model()),
+                        selectConcCrashPoints(order,
+                                              h.system().persistEvents(),
+                                              options.pointsPerConfig),
+                        options.seed, /*pointSalt=*/0x6101, result);
     return result;
 }
 
@@ -346,36 +246,9 @@ runConcCampaign(const ConcCampaignOptions &options)
 {
     return runConfigSweep<ConcCampaignReport>(
         {"conc-campaign", "conc-campaign", "conccampaign"}, options,
-        concCampaignSweepId(options), deserializeConcCampaignResult,
-        // The isolated child classifies serially: the worker *is* the
-        // parallel unit.
-        [&](Config cfg) {
-            return serializeConcCampaignResult(classifyConcConfig(
-                options, cfg, simulateConcCampaignConfig(options, cfg),
-                exp::Scheduler(1)));
-        },
-        [&] {
-            const exp::Scheduler sched(options.jobs);
-
-            // Phase 1: every configuration's simulation is
-            // independent.
-            std::vector<SimulatedConcCampaign> sims =
-                sched.map<SimulatedConcCampaign>(
-                    options.configs.size(), [&](std::size_t i) {
-                        return simulateConcCampaignConfig(
-                            options, options.configs[i]);
-                    });
-
-            // Phase 2: per-point classification, parallel within
-            // each configuration, tallied in deterministic point
-            // order.
-            std::vector<ConcCampaignConfigResult> configs;
-            for (std::size_t i = 0; i < options.configs.size(); ++i) {
-                configs.push_back(classifyConcConfig(
-                    options, options.configs[i], sims[i], sched));
-            }
-            return configs;
-        });
+        concCampaignSweepId(options), serializeConcCampaignResult,
+        deserializeConcCampaignResult,
+        [&](Config cfg) { return concCampaignConfig(options, cfg); });
 }
 
 } // namespace ede

@@ -14,8 +14,9 @@
  * toward that window (remote-outstanding points get ~3/4 of the
  * budget); each image is reconstructed by the shared frontier-torn
  * crash-image builder against the *joint* persist order
- * (persist_order.hh) and judged by the kernels' recovery oracles
- * (checkConcInvariants).
+ * (persist_order.hh) and judged by the cross-core checker's judge
+ * (concJudge: the kernels' recovery oracles).  The crash-point loop
+ * itself is the single-core campaign's (classifyCrashPoints).
  *
  * The sweep is the shared per-configuration one (sweep.hh): one
  * forked worker per configuration, exact wire payloads journaled per
@@ -128,6 +129,8 @@ struct ConcCampaignOptions
 
     std::vector<Config> configs{kAllConfigs.begin(),
                                 kAllConfigs.end()};
+
+    /** Configurations run in parallel (see CampaignOptions::jobs). */
     unsigned jobs = 1;
 
     /** Process isolation (same contract as CampaignOptions). */

@@ -1,11 +1,9 @@
 #include "fault/conc_check.hh"
 
-#include <memory>
 #include <sstream>
 
 #include "common/logging.hh"
 #include "exp/fields.hh"
-#include "exp/scheduler.hh"
 #include "fault/model_check/checker.hh"
 
 namespace ede {
@@ -66,61 +64,38 @@ ConcCounterexample::describe() const
 
 namespace {
 
-/** One simulated configuration's artifacts for the check phase. */
-struct SimulatedConc
-{
-    std::unique_ptr<ConcurrentHarness> harness;
-    Cycle cycles = 0;
-    SeededConcBug bug;
-};
-
-SimulatedConc
-simulateConcConfig(const ConcCheckOptions &options, Config cfg)
+/**
+ * Simulate one configuration's kernel, then enumerate and judge
+ * every cross-core durable state of the run (serial within a
+ * configuration: the dedup cache is shared across states).
+ */
+ConcCheckConfigResult
+checkConcConfig(const ConcCheckOptions &options, Config cfg)
 {
     const LogJobTag tag("conc-check/" +
                         std::string(configName(cfg)));
-    SimulatedConc sim;
     ConcParams p;
     p.cfg = cfg;
     p.cores = options.cores;
     p.opsPerCore = options.opsPerCore;
     p.seed = options.workloadSeed;
     p.paced = true;  // The checkers require model-order execution.
-    sim.harness = std::make_unique<ConcurrentHarness>(
-        options.app, p, options.mediaFactor);
-    sim.harness->generate();
-    if (options.seedBug)
-        sim.bug = seedMissingCrossCoreWaitBug(sim.harness->traces());
-    sim.cycles = sim.harness->simulateChecked();
-    return sim;
-}
-
-/**
- * Enumerate and judge every cross-core durable state of one
- * simulated configuration (serial within a configuration: the dedup
- * cache is shared across states).
- */
-ConcCheckConfigResult
-checkConcConfig(const ConcCheckOptions &options, Config cfg,
-                const SimulatedConc &sim)
-{
-    const ConcurrentHarness &h = *sim.harness;
+    ConcurrentHarness h(options.app, p, options.mediaFactor);
+    h.generate();
     ConcCheckConfigResult result;
     result.config = cfg;
-    result.cycles = sim.cycles;
-    result.seededBugOpIdx = sim.bug.opIdx;
-    result.seededBugCore = sim.bug.core;
+    if (options.seedBug) {
+        const SeededConcBug bug =
+            seedMissingCrossCoreWaitBug(h.traces());
+        result.seededBugOpIdx = bug.opIdx;
+        result.seededBugCore = bug.core;
+    }
+    result.cycles = h.simulateChecked();
 
     const PersistOrderGraph graph = buildConcPersistOrder(h);
-    const ConcModel &model = h.model();
-    DurableSetChecker checker(
-        h.system().persistEvents(), h.baselineNvm(), graph,
-        [&model](MemoryImage &img) {
-            DurableSetChecker::StateVerdict v;
-            v.invariant = checkConcInvariants(model, img);
-            v.appOk = v.invariant == nullptr;
-            return v;
-        });
+    DurableSetChecker checker(h.system().persistEvents(),
+                              h.baselineNvm(), graph,
+                              concJudge(h.model()));
     checkDurableSets(options,
                      mixSeed(options.seed, 0x70c0 ^ configSalt(cfg)),
                      graph, checker, result);
@@ -230,21 +205,9 @@ runConcCheck(const ConcCheckOptions &options)
 {
     return runConfigSweep<ConcCheckReport>(
         {"conc-check", "conc-check", "concheck"}, options,
-        concCheckSweepId(options), deserializeConcCheckResult,
-        [&](Config cfg) {
-            return serializeConcCheckResult(checkConcConfig(
-                options, cfg, simulateConcConfig(options, cfg)));
-        },
-        [&] {
-            const exp::Scheduler sched(options.jobs);
-            return sched.map<ConcCheckConfigResult>(
-                options.configs.size(), [&](std::size_t i) {
-                    const SimulatedConc sim =
-                        simulateConcConfig(options, options.configs[i]);
-                    return checkConcConfig(options, options.configs[i],
-                                           sim);
-                });
-        });
+        concCheckSweepId(options), serializeConcCheckResult,
+        deserializeConcCheckResult,
+        [&](Config cfg) { return checkConcConfig(options, cfg); });
 }
 
 } // namespace ede

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <sstream>
 #include <unordered_map>
 
 #include "audit/auditor.hh"
 #include "common/logging.hh"
 #include "exp/fields.hh"
-#include "exp/scheduler.hh"
 #include "nvm/undo_log.hh"
 
 namespace ede {
@@ -144,6 +142,17 @@ undoLogJudge(const WorkloadHarness &h)
         v.entriesTorn = rec.entriesTorn;
         v.invariant = crashInvariantName(v.appOk, rec);
         v.rollbackTargets = rec.appliedTargets;
+        return v;
+    };
+}
+
+DurableSetChecker::StateJudge
+concJudge(const ConcModel &model)
+{
+    return [&model](MemoryImage &img) {
+        DurableSetChecker::StateVerdict v;
+        v.invariant = checkConcInvariants(model, img);
+        v.appOk = v.invariant == nullptr;
         return v;
     };
 }
@@ -381,48 +390,27 @@ DurableSetChecker::shrink(const std::vector<std::size_t> &postSetup,
 
 namespace {
 
-/** Simulate one configuration's workload for the model check. */
-struct SimulatedConfig
-{
-    std::unique_ptr<WorkloadHarness> harness;
-    std::size_t seededBugTraceIdx = kNoEvent;
-};
-
-SimulatedConfig
-simulateConfig(const ModelCheckOptions &options, Config cfg,
-               bool checked)
+/**
+ * Simulate one configuration's workload, then enumerate and check
+ * every durable state of the run.  Inherently serial within a
+ * configuration (the dedup cache is shared across states);
+ * configurations fan out through runConfigSweep.
+ */
+ModelCheckConfigResult
+checkConfig(const ModelCheckOptions &options, Config cfg)
 {
     const LogJobTag tag("model-check/" +
                         std::string(configName(cfg)));
-    SimulatedConfig sim;
-    sim.harness = std::make_unique<WorkloadHarness>(
-        options.app, cfg, options.spec, options.appParams);
-    sim.harness->enableAudit();
-    sim.harness->generate();
-    if (options.seedBug)
-        sim.seededBugTraceIdx = seedMissingEdkBug(*sim.harness);
-    if (checked)
-        sim.harness->simulateChecked();
-    else
-        sim.harness->simulate();
-    return sim;
-}
-
-/**
- * Enumerate and check every durable state of one simulated
- * configuration.  Inherently serial within a configuration (the
- * dedup cache is shared across states); configurations themselves
- * fan out through the scheduler or the isolated workers.
- */
-ModelCheckConfigResult
-checkConfig(const ModelCheckOptions &options, Config cfg,
-            const SimulatedConfig &sim)
-{
-    const WorkloadHarness &h = *sim.harness;
+    WorkloadHarness h(options.app, cfg, options.spec,
+                      options.appParams);
+    h.enableAudit();
+    h.generate();
     ModelCheckConfigResult result;
     result.config = cfg;
+    if (options.seedBug)
+        result.seededBugTraceIdx = seedMissingEdkBug(h);
+    h.simulate();
     result.cycles = h.system().core().stats().cycles;
-    result.seededBugTraceIdx = sim.seededBugTraceIdx;
 
     const PersistOrderGraph graph = buildPersistOrder(h);
     DurableSetChecker checker(h, graph);
@@ -528,22 +516,9 @@ runModelCheck(const ModelCheckOptions &options)
 {
     return runConfigSweep<ModelCheckReport>(
         {"model-check", "model-check", "modelcheck"}, options,
-        modelCheckSweepId(options), deserializeModelCheckResult,
-        [&](Config cfg) {
-            const SimulatedConfig sim =
-                simulateConfig(options, cfg, /*checked=*/true);
-            return serializeModelCheckResult(
-                checkConfig(options, cfg, sim));
-        },
-        [&] {
-            const exp::Scheduler sched(options.jobs);
-            return sched.map<ModelCheckConfigResult>(
-                options.configs.size(), [&](std::size_t i) {
-                    const SimulatedConfig sim = simulateConfig(
-                        options, options.configs[i], /*checked=*/false);
-                    return checkConfig(options, options.configs[i], sim);
-                });
-        });
+        modelCheckSweepId(options), serializeModelCheckResult,
+        deserializeModelCheckResult,
+        [&](Config cfg) { return checkConfig(options, cfg); });
 }
 
 } // namespace ede

@@ -20,6 +20,11 @@
  * data durable but its undo entry missing -- the
  * "active-rollback-failed" invariant -- while the intact program
  * verifies clean.
+ *
+ * Both campaigns judge their sampled images with this checker's
+ * judges (undoLogJudge, concJudge) and classify them in one shared
+ * crash-point loop (classifyCrashPoints) beside the checkers' own
+ * durable-set loop (checkDurableSets).
  */
 
 #ifndef EDE_FAULT_MODEL_CHECK_CHECKER_HH
@@ -33,9 +38,11 @@
 #include <unordered_set>
 #include <vector>
 
+#include "apps/concurrent.hh"
 #include "apps/harness.hh"
 #include "exp/worker.hh"
 #include "fault/campaign.hh"
+#include "fault/crash_image.hh"
 #include "fault/model_check/enumerate.hh"
 #include "fault/model_check/persist_order.hh"
 
@@ -419,10 +426,29 @@ class DurableSetChecker
 };
 
 /**
+ * @name The judges: one per workload kind.
+ *
+ * Both crash checkers and both campaigns judge every crash image
+ * through these.  A verdict's invariant is null exactly when the
+ * image recovered; entriesTorn counts undo-log entries recovery
+ * discarded as torn.
+ */
+/// @{
+
+/**
  * The one-core judge: undo-log recovery, then the application's
- * checkRecovered oracle.  @p h must outlive the judge.
+ * checkRecovered oracle; the invariant is crashInvariantName's.
+ * @p h must outlive the judge.
  */
 DurableSetChecker::StateJudge undoLogJudge(const WorkloadHarness &h);
+
+/**
+ * The N-core judge: the concurrent kernels' recovery oracles
+ * (checkConcInvariants).  The structures are their own recovery
+ * story, so nothing is discarded.  @p model must outlive the judge.
+ */
+DurableSetChecker::StateJudge concJudge(const ConcModel &model);
+/// @}
 
 /**
  * The durable-set check loop of both checkers: enumerate every legal
@@ -508,6 +534,95 @@ checkDurableSets(const Options &options, std::uint64_t tornSeed,
     result.rejectedBudget = stats.rejectedBudget;
     result.truncated = stats.truncated;
     result.uniqueImages = checker.uniqueImages();
+}
+
+/**
+ * The crash-point loop of both campaigns.  @p points holds one
+ * record per selected crash point, its crash cycle set (an N-core
+ * record also carries its remote-outstanding flag); they become
+ * result.results, classified in point order.  For each point: draw
+ * its fault plan (the campaign @p seed, the configuration of
+ * @p result and the campaign's @p pointSalt), rebuild the image a
+ * crash there leaves from @p run's persist events against @p order
+ * (applyFaultyPersistEvents), judge it with @p judge and tally the
+ * outcome: a violated invariant is Unrecoverable, else a discarded
+ * log entry is TornLogDetected, else Recovered.  An unrecoverable
+ * point of a safe configuration is shrunk with weakestFailingPlan
+ * into a reproducer.  @p run is a WorkloadHarness or a
+ * ConcurrentHarness; its transient accept rejects land in @p result
+ * too.  The one-core extras (entriesTorn, tornDetected) and the
+ * N-core ones (invariant, remotePoints) ride along where @p result
+ * has room for them.
+ */
+template <class Run, class Point, class Result>
+void
+classifyCrashPoints(const Run &run, const PersistOrderGraph &order,
+                    const DurableSetChecker::StateJudge &judge,
+                    std::vector<Point> points, std::uint64_t seed,
+                    std::uint64_t pointSalt, Result &result)
+{
+    const System &sys = run.system();
+    const auto &nvm = sys.mem().controller().nvm();
+    result.transientRejects = nvm.stats().transientRejects;
+    const std::uint64_t planSeed =
+        mixSeed(seed, configSalt(result.config));
+
+    // Reconstruction is pure given the recorded events, so each
+    // weaker plan the shrinker tries is rebuilt and judged anew.
+    auto judgeAt = [&](Cycle crashCycle, const FaultPlan &plan) {
+        MemoryImage img = run.baselineNvm();
+        applyFaultyPersistEvents(img, sys.persistEvents(),
+                                 sys.mediaWriteEvents(), crashCycle,
+                                 plan, nvm.params().lineBytes, &order);
+        return judge(img);
+    };
+
+    result.results = std::move(points);
+    for (std::size_t i = 0; i < result.results.size(); ++i) {
+        auto &r = result.results[i];
+        r.plan = makeFaultPlan(mixSeed(planSeed, pointSalt + i),
+                               nvm.params().bufferSlots);
+        const DurableSetChecker::StateVerdict v =
+            judgeAt(r.crashCycle, r.plan);
+        ++result.points;
+        if constexpr (requires { result.remotePoints; }) {
+            if (r.remoteOutstanding)
+                ++result.remotePoints;
+        }
+        if constexpr (requires { r.entriesTorn; })
+            r.entriesTorn = v.entriesTorn;
+
+        if (!v.invariant) {
+            r.outcome = v.entriesTorn ? CrashOutcome::TornLogDetected
+                                      : CrashOutcome::Recovered;
+            if constexpr (requires { result.tornDetected; }) {
+                if (v.entriesTorn) {
+                    ++result.tornDetected;
+                    continue;
+                }
+            }
+            ++result.recovered;
+            continue;
+        }
+        r.outcome = CrashOutcome::Unrecoverable;
+        if constexpr (requires { r.invariant; })
+            r.invariant = v.invariant;
+        ++result.unrecoverable;
+        if (configIsUnsafe(result.config))
+            continue;
+        auto &rep = result.failures.emplace_back();
+        rep.seed = seed;
+        rep.config = result.config;
+        rep.crashCycle = r.crashCycle;
+        rep.plan = weakestFailingPlan(r.plan, [&](const FaultPlan &p) {
+            const char *invariant = judgeAt(r.crashCycle, p).invariant;
+            if constexpr (requires { rep.invariant; }) {
+                if (invariant)
+                    rep.invariant = invariant;
+            }
+            return invariant != nullptr;
+        });
+    }
 }
 
 /** @name Worker wire format / journal payloads. */

@@ -3,15 +3,18 @@
  * The per-configuration sweep every crash-consistency driver runs.
  *
  * The fault campaign, the model checker and their N-core forms each
- * run one self-contained job per Table III configuration under the
- * isolation contract of exp::runIsolated (DESIGN.md §11): with
- * `isolate`, every configuration runs in a forked worker that ships
- * its exact wire payload back; an optional journal records each
- * payload as it lands, so an interrupted sweep resumes
- * byte-identically; and a configuration whose worker keeps failing is
- * quarantined instead of ending the sweep.  runConfigSweep maps each
- * campaign and checker onto it; each supplies only its name, payload
- * decoder, worker job and in-process path.
+ * supply one self-contained job per Table III configuration -- build,
+ * simulate and judge that configuration's run -- plus the exact wire
+ * codec of its result.  runConfigSweep derives both execution paths
+ * from that one job: in process, the job maps over the
+ * configurations on the sweep's `jobs` threads; with `isolate`, it
+ * runs under the isolation contract of exp::runIsolated (DESIGN.md
+ * §11): every configuration runs in a forked worker that ships its
+ * exact wire payload back; an optional journal records each payload
+ * as it lands, so an interrupted sweep resumes byte-identically; and
+ * a configuration whose worker keeps failing is quarantined instead
+ * of ending the sweep.  Because both paths run the same job and the
+ * codec is exact, they produce the same report.
  *
  * The helpers the drivers share live here too.
  */
@@ -25,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/scheduler.hh"
 #include "exp/worker.hh"
 #include "sim/config.hh"
 
@@ -73,10 +77,12 @@ template <class Report>
 using SweepResult = typename decltype(Report::configs)::value_type;
 
 /**
- * One driver's whole sweep.  A journal without isolation is fatal;
- * without isolation @p inProcess produces every configuration's
- * result, otherwise exp::runIsolated runs @p work per configuration
- * and @p decode turns each payload back into a result.  The report
+ * One whole crash sweep: @p job produces one configuration's
+ * result.  A journal without isolation is fatal.  In process, the
+ * job maps over the configurations on options.jobs threads (0 =
+ * hardware concurrency); with isolation, exp::runIsolated runs it in
+ * a worker per configuration, which ships the @p serialize payload
+ * back for @p decode to turn into the result again.  The report
  * lists the results, then the quarantined configurations, each in
  * configuration order.
  */
@@ -85,21 +91,23 @@ Report
 runConfigSweep(
     const SweepKind &kind, const decltype(Report::options) &options,
     std::uint64_t sweepId,
+    std::string (*serialize)(const SweepResult<Report> &),
     std::optional<SweepResult<Report>> (*decode)(const std::string &),
-    const std::function<std::string(Config)> &work,
-    const std::function<std::vector<SweepResult<Report>>()> &inProcess)
+    const std::function<SweepResult<Report>(Config)> &job)
 {
     using Result = SweepResult<Report>;
     const exp::Isolation &iso = options.isolation;
     iso.requireIsolatedJournal(kind.name);
     Report report;
     report.options = options;
+    const std::vector<Config> &configs = options.configs;
     if (!iso.isolate) {
-        report.configs = inProcess();
+        report.configs = exp::Scheduler(options.jobs).map<Result>(
+            configs.size(),
+            [&](std::size_t i) { return job(configs[i]); });
         return report;
     }
 
-    const std::vector<Config> &configs = options.configs;
     std::vector<std::optional<Result>> slots(configs.size());
     exp::IsolatedSweep sweep("config", kind.validation, sweepId);
     for (Config cfg : configs) {
@@ -107,7 +115,9 @@ runConfigSweep(
             {std::string(configName(cfg)),
              configJobFingerprint(kind.keyPrefix, sweepId, cfg)});
     }
-    sweep.work = [&](std::size_t i) { return work(configs[i]); };
+    sweep.work = [&](std::size_t i) {
+        return serialize(job(configs[i]));
+    };
     sweep.accept = [&](std::size_t i, const std::string &payload, bool) {
         std::optional<Result> r = decode(payload);
         if (!r || r->config != configs[i])

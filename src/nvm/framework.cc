@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/logging.hh"
+#include "trace/lowering.hh"
 
 namespace ede {
 
@@ -15,42 +16,6 @@ NvmFramework::NvmFramework(Config cfg, TraceBuilder &builder,
                "framework needs a placed undo log");
     ede_assert((log_.entriesBase & 0x3f) == 0,
                "log entries must start on a cache line");
-}
-
-void
-NvmFramework::emitLogOrdering()
-{
-    switch (cfg_) {
-      case Config::B:
-        builder_.dsbSy();
-        break;
-      case Config::SU:
-        // Orders stores against stores only; does NOT order the DC
-        // CVAP we just issued -- this is why SU is unsafe.
-        builder_.dmbSt();
-        break;
-      case Config::IQ:
-      case Config::WB:
-        // Nothing: the dependence is carried by EDK #1 (Figure 7).
-        break;
-      case Config::U:
-        break;
-    }
-}
-
-void
-NvmFramework::emitCommitBarrier()
-{
-    switch (cfg_) {
-      case Config::B:
-        builder_.dsbSy();
-        break;
-      case Config::SU:
-        builder_.dmbSt();
-        break;
-      default:
-        break; // EDE configs use WAIT_KEY; U uses nothing.
-    }
 }
 
 void
@@ -132,7 +97,7 @@ NvmFramework::pWriteU64(Addr dst, std::uint64_t value)
     PersistObligation ob;
     ob.logCvapIdx = builder_.cvap(
         r_slot, slot, ede ? EdkOps{fwkeys::kLogEntry, 0} : EdkOps{});
-    emitLogOrdering();
+    emitOrderingToken(builder_, cfg_);
     image_.write<std::uint64_t>(slot, sealed);
     image_.write<std::uint64_t>(slot + 8, old_val);
 
@@ -200,7 +165,7 @@ NvmFramework::emitRangeSnapshot(Addr base, std::size_t words, Edk key)
         pending_log_line = line;
     }
     flush_log_line();
-    emitLogOrdering(); // One barrier per snapshot (non-EDE configs).
+    emitOrderingToken(builder_, cfg_); // One per snapshot.
     return last_cvap;
 }
 
@@ -249,10 +214,7 @@ NvmFramework::txCommit()
     const bool ede = configUsesEde(cfg_);
 
     // Step 1: every transactional update is durable.
-    if (ede)
-        builder_.waitKey(fwkeys::kData);
-    else
-        emitCommitBarrier();
+    emitDrain(builder_, cfg_, fwkeys::kData);
 
     // Step 2: commit record.
     const RegIndex r_state = temps_.get();
@@ -262,7 +224,7 @@ NvmFramework::txCommit()
     builder_.str(r_val, r_state, log_.stateAddr, kTxCommitted);
     builder_.cvap(r_state, log_.stateAddr,
                   ede ? EdkOps{fwkeys::kCommit, 0} : EdkOps{});
-    emitCommitBarrier();
+    emitOrderingToken(builder_, cfg_);
     image_.write<std::uint64_t>(log_.stateAddr, kTxCommitted);
 
     // Step 3: truncate the log (zero the addr word of each used
@@ -287,10 +249,7 @@ NvmFramework::txCommit()
         builder_.cvap(r_line, line,
                       ede ? EdkOps{fwkeys::kZeroes, 0} : EdkOps{});
     }
-    if (ede)
-        builder_.waitKey(fwkeys::kZeroes);
-    else
-        emitCommitBarrier();
+    emitDrain(builder_, cfg_, fwkeys::kZeroes);
 
     // Step 4: back to ACTIVE.  The state-clear persist is recorded as
     // this transaction's commit mark (crash-campaign stratification).
@@ -300,7 +259,7 @@ NvmFramework::txCommit()
     commitMarks_.push_back(
         builder_.cvap(r_state, log_.stateAddr,
                       ede ? EdkOps{fwkeys::kStateClear, 0} : EdkOps{}));
-    emitCommitBarrier();
+    emitOrderingToken(builder_, cfg_);
     image_.write<std::uint64_t>(log_.stateAddr, kTxActive);
 
     inTx_ = false;

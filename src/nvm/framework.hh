@@ -193,12 +193,6 @@ class NvmFramework
     /// @}
 
   private:
-    /** The per-config ordering token after a log-entry persist. */
-    void emitLogOrdering();
-
-    /** Barrier between commit protocol steps (non-EDE configs). */
-    void emitCommitBarrier();
-
     /**
      * Emit the snapshot of a fresh range under chain key @p key;
      * @return the trace index of its last log-line persist.

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "trace/builder.hh"
+#include "trace/lowering.hh"
 
 namespace ede {
 namespace traffic {
@@ -44,44 +45,6 @@ struct StreamGen
     ArrivalProcess arrivals;
     std::uint64_t nextValue = 1;
 };
-
-/** The persist->publish ordering token (Table III lowering). */
-void
-emitOrderingToken(TraceBuilder &b, Config cfg)
-{
-    switch (cfg) {
-      case Config::B:
-        b.dsbSy();
-        break;
-      case Config::SU:
-        b.dmbSt();
-        break;
-      case Config::IQ:
-      case Config::WB:
-      case Config::U:
-        break;
-    }
-}
-
-/** The commit-durable drain that ends every update transaction. */
-void
-emitCommitDrain(TraceBuilder &b, Config cfg, Edk key)
-{
-    switch (cfg) {
-      case Config::B:
-        b.dsbSy();
-        break;
-      case Config::SU:
-        b.dmbSt();
-        break;
-      case Config::IQ:
-      case Config::WB:
-        b.waitKey(key);
-        break;
-      case Config::U:
-        break;
-    }
-}
 
 /** Zipf-keyed dependent load chain over the stream's shard. */
 void
@@ -133,7 +96,7 @@ emitUpdateTxn(CoreGen &g, StreamGen &s, Config cfg, unsigned stream,
             ede ? EdkOps{kZeroEdk, k} : EdkOps{});
     g.b.cvap(r_p, trafficPublishAddr(stream),
              ede ? EdkOps{k, kZeroEdk} : EdkOps{});
-    emitCommitDrain(g.b, cfg, k);
+    emitDrain(g.b, cfg, k);
 }
 
 /** Warm each resident stream's shard and close the setup phase. */

@@ -187,31 +187,52 @@ TEST(Cli, IsolationFlagsPopulateRunnerOptions)
 // Traffic flags
 // ---------------------------------------------------------------- //
 
-TEST(Cli, TrafficFlagsPopulateOptions)
+TEST(Cli, TrafficFlagsWriteThePlan)
 {
-    bench::TrafficOptions t;
+    traffic::TrafficPlan plan;
+    std::vector<double> gaps;
     Cli cli("testprog");
-    bench::addTrafficFlags(cli, t);
+    bench::addTrafficFlags(cli, plan, gaps);
     // --arrival is repeatable: each use appends one sweep point.
     Args args({"--streams", "8", "--zipf-theta", "0.5", "--arrival",
                "4000", "--arrival", "125.5", "--bursty", "--seed",
                "7"});
     cli.parse(args.argc(), args.argv());
 
-    EXPECT_EQ(t.streams, 8u);
-    EXPECT_DOUBLE_EQ(t.zipfTheta, 0.5);
-    ASSERT_EQ(t.arrivalGaps.size(), 2u);
-    EXPECT_DOUBLE_EQ(t.arrivalGaps[0], 4000.0);
-    EXPECT_DOUBLE_EQ(t.arrivalGaps[1], 125.5);
-    EXPECT_TRUE(t.bursty);
-    EXPECT_EQ(t.seed, 7u);
+    EXPECT_EQ(plan.streams, 8u);
+    EXPECT_DOUBLE_EQ(plan.mix.zipfTheta, 0.5);
+    ASSERT_EQ(gaps.size(), 2u);
+    EXPECT_DOUBLE_EQ(gaps[0], 4000.0);
+    EXPECT_DOUBLE_EQ(gaps[1], 125.5);
+    EXPECT_EQ(plan.arrival.kind, traffic::ArrivalKind::Bursty);
+    EXPECT_EQ(plan.seed, 7u);
+}
+
+TEST(Cli, ClosedPoolWinsOverBurstyInEitherOrder)
+{
+    auto parse = [](Args args) {
+        traffic::TrafficPlan plan;
+        std::vector<double> gaps;
+        Cli cli("testprog");
+        bench::addTrafficFlags(cli, plan, gaps);
+        bench::addOverloadFlags(cli, plan);
+        cli.parse(args.argc(), args.argv());
+        return plan;
+    };
+    for (const traffic::TrafficPlan &plan :
+         {parse(Args({"--bursty", "--closed-pool", "3"})),
+          parse(Args({"--closed-pool", "3", "--bursty"}))}) {
+        EXPECT_EQ(plan.arrival.kind, traffic::ArrivalKind::ClosedPool);
+        EXPECT_EQ(plan.arrival.poolSize, 3u);
+    }
 }
 
 TEST(CliDeathTest, ZeroStreamsIsRejected)
 {
-    bench::TrafficOptions t;
+    traffic::TrafficPlan plan;
+    std::vector<double> gaps;
     Cli cli("testprog");
-    bench::addTrafficFlags(cli, t);
+    bench::addTrafficFlags(cli, plan, gaps);
     Args args({"--streams", "0"});
     EXPECT_EXIT(cli.parse(args.argc(), args.argv()),
                 ::testing::ExitedWithCode(2),
@@ -220,9 +241,10 @@ TEST(CliDeathTest, ZeroStreamsIsRejected)
 
 TEST(CliDeathTest, DivergentZipfThetaIsRejected)
 {
-    bench::TrafficOptions t;
+    traffic::TrafficPlan plan;
+    std::vector<double> gaps;
     Cli cli("testprog");
-    bench::addTrafficFlags(cli, t);
+    bench::addTrafficFlags(cli, plan, gaps);
     Args args({"--zipf-theta", "1.0"});
     EXPECT_EXIT(cli.parse(args.argc(), args.argv()),
                 ::testing::ExitedWithCode(2),
@@ -231,9 +253,10 @@ TEST(CliDeathTest, DivergentZipfThetaIsRejected)
 
 TEST(CliDeathTest, NonPositiveArrivalGapIsRejected)
 {
-    bench::TrafficOptions t;
+    traffic::TrafficPlan plan;
+    std::vector<double> gaps;
     Cli cli("testprog");
-    bench::addTrafficFlags(cli, t);
+    bench::addTrafficFlags(cli, plan, gaps);
     Args args({"--arrival", "0"});
     EXPECT_EXIT(cli.parse(args.argc(), args.argv()),
                 ::testing::ExitedWithCode(2),

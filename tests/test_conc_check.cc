@@ -190,18 +190,6 @@ TEST(ConcOrder, RemotePersistsOutstandingAtCrashPoints)
     EXPECT_GT(remoteWindows, 0u);
 }
 
-/** The kernel-oracle judge checkConcConfig uses. */
-DurableSetChecker::StateJudge
-concJudge(const ConcModel &model)
-{
-    return [&model](MemoryImage &img) {
-        DurableSetChecker::StateVerdict v;
-        v.invariant = checkConcInvariants(model, img);
-        v.appOk = v.invariant == nullptr;
-        return v;
-    };
-}
-
 /* ------------------------------------------------------------------ */
 /* Campaign cross-validation: containment and re-materialization.      */
 /* ------------------------------------------------------------------ */

@@ -25,6 +25,9 @@
 #include "exp/runner.hh"
 #include "exp/scheduler.hh"
 #include "fault/campaign.hh"
+#include "fault/conc_campaign.hh"
+#include "fault/conc_check.hh"
+#include "fault/model_check/checker.hh"
 
 namespace ede {
 namespace {
@@ -669,6 +672,63 @@ TEST(CampaignParallel, BitIdenticalAcrossJobCounts)
                       p.results[i].entriesTorn);
         }
     }
+}
+
+/**
+ * runConfigSweep's one-job contract: each configuration's wire form
+ * is the same in process at jobs 1 and 3 and under isolation.
+ */
+template <class Report, class Options>
+void
+expectOneJobContract(Options options, Report (*run)(const Options &),
+                     std::string (*serialize)(
+                         const SweepResult<Report> &))
+{
+    options.jobs = 1;
+    const Report serial = run(options);
+    options.jobs = 3;
+    const Report parallel = run(options);
+    options.isolation.isolate = true;
+    options.isolation.retry.backoffBaseMs = 1;
+    const Report isolated = run(options);
+
+    ASSERT_EQ(serial.configs.size(), options.configs.size());
+    ASSERT_EQ(parallel.configs.size(), serial.configs.size());
+    ASSERT_EQ(isolated.configs.size(), serial.configs.size());
+    for (std::size_t i = 0; i < serial.configs.size(); ++i) {
+        const std::string wire = serialize(serial.configs[i]);
+        const std::string_view cfg = configName(options.configs[i]);
+        EXPECT_EQ(serialize(parallel.configs[i]), wire) << cfg;
+        EXPECT_EQ(serialize(isolated.configs[i]), wire) << cfg;
+    }
+}
+
+TEST(SweepContract, ConcCampaignRunsOneJobPerConfig)
+{
+    ConcCampaignOptions options;
+    options.opsPerCore = 4;
+    options.pointsPerConfig = 12;
+    options.configs = {Config::B, Config::IQ, Config::U};
+    expectOneJobContract(options, runConcCampaign,
+                         serializeConcCampaignResult);
+}
+
+TEST(SweepContract, ModelCheckRunsOneJobPerConfig)
+{
+    ModelCheckOptions options;
+    options.seedBug = true;  // Counterexamples ride the wire too.
+    expectOneJobContract(options, runModelCheck,
+                         serializeModelCheckResult);
+}
+
+TEST(SweepContract, ConcCheckRunsOneJobPerConfig)
+{
+    ConcCheckOptions options;
+    options.app = ConcApp::RwLock;
+    options.workloadSeed = 57;
+    options.seedBug = true;
+    expectOneJobContract(options, runConcCheck,
+                         serializeConcCheckResult);
 }
 
 } // namespace

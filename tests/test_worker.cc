@@ -29,6 +29,7 @@ namespace ede {
 namespace {
 
 using exp::ExperimentPlan;
+using exp::ExperimentPoint;
 using exp::ExperimentResults;
 using exp::JobFailure;
 using exp::JobOutcome;
@@ -485,10 +486,10 @@ TEST(SimFaultPropagation, RunSucceedsThenRejectsReuse)
               std::string::npos);
 }
 
-TEST(SimFaultPropagation, HarnessSimulateCheckedThrowsTyped)
+TEST(SimFaultPropagation, HarnessSimulateThrowsTyped)
 {
     // Throttle the backstop so the workload cannot finish in budget:
-    // simulateChecked must raise the typed fault, not panic.
+    // simulate must raise the typed fault, not panic.
     exp::ExperimentPlan plan;
     plan.addGrid({AppId::Update}, {Config::B}, tiny());
     exp::ExperimentPoint point = plan.points()[0];
@@ -497,11 +498,59 @@ TEST(SimFaultPropagation, HarnessSimulateCheckedThrowsTyped)
                       point.appParams, point.simParams);
     h.generate();
     try {
-        h.simulateChecked();
+        h.simulate();
         FAIL() << "expected SimFaultError";
     } catch (const SimFaultError &e) {
         EXPECT_EQ(e.kind(), SimErrorKind::MaxCyclesExceeded);
     }
+}
+
+/**
+ * In process, runPlan on @p point alone, with a cycle backstop no
+ * run can meet, raises the typed fault the isolated path reports.
+ */
+void
+expectInProcessMaxCycles(ExperimentPoint point)
+{
+    point.simParams.core.maxCycles = 20;
+    ExperimentPlan plan;
+    plan.add(std::move(point));
+    RunnerOptions opt;
+    opt.jobs = 1;
+    opt.printSummary = false;
+    try {
+        runPlan(plan, opt);
+        FAIL() << "expected SimFaultError";
+    } catch (const SimFaultError &e) {
+        EXPECT_EQ(e.kind(), SimErrorKind::MaxCyclesExceeded);
+    }
+}
+
+/** A two-core point of @p cfg labelled @p label. */
+ExperimentPoint
+twoCorePoint(Config cfg, std::string label)
+{
+    ExperimentPoint point;
+    point.label = std::move(label);
+    point.config = cfg;
+    point.simParams = SimConfig::paper(cfg).withCoreCount(2).params();
+    return point;
+}
+
+TEST(SimFaultPropagation, InProcessConcCellThrowsTyped)
+{
+    ExperimentPoint point = twoCorePoint(Config::IQ, "IQ/msqueue/2c");
+    point.conc = true;
+    point.concOpsPerCore = 4;
+    expectInProcessMaxCycles(std::move(point));
+}
+
+TEST(SimFaultPropagation, InProcessTrafficCellThrowsTyped)
+{
+    ExperimentPoint point = twoCorePoint(Config::WB, "WB/g2000");
+    point.traffic = true;
+    point.trafficPlan.txnsPerStream = 8;
+    expectInProcessMaxCycles(std::move(point));
 }
 
 } // namespace
