@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,18 @@ class Cli
     {
         opts_.push_back({std::move(name), {}, std::move(help), {},
                          std::move(apply)});
+        return *this;
+    }
+
+    /**
+     * Register a check of flags that depend on each other, run once
+     * the whole command line is parsed (so flag order never matters);
+     * a CliError it throws takes the exit-2 usage path.
+     */
+    Cli &
+    check(std::function<void()> fn)
+    {
+        checks_.push_back(std::move(fn));
         return *this;
     }
 
@@ -129,6 +142,16 @@ class Cli
                 std::exit(2);
             }
         }
+        for (const auto &fn : checks_) {
+            try {
+                fn();
+            } catch (const CliError &e) {
+                std::fprintf(stderr, "%s: %s\n", prog_.c_str(),
+                             e.message.c_str());
+                usage(stderr);
+                std::exit(2);
+            }
+        }
     }
 
   private:
@@ -143,6 +166,7 @@ class Cli
 
     std::string prog_;
     std::vector<Opt> opts_;
+    std::vector<std::function<void()>> checks_;
 };
 
 /**
@@ -325,11 +349,14 @@ toAdmissionKind(const std::string &s)
  * the warmup/window split and the closed-pool arrival option.  Each
  * writes its field of the template @p plan.  Range checks beyond
  * simple positivity live in validateTrafficPlan, so the CLI and
- * programmatic callers reject identically.
+ * programmatic callers reject identically.  The one exception is
+ * --think-time without --closed-pool, refused after parsing in either
+ * order: a plan cannot tell a given think time from the default.
  */
 inline void
 addOverloadFlags(Cli &cli, traffic::TrafficPlan &plan)
 {
+    const auto thinkTimeSet = std::make_shared<bool>(false);
     cli.value("--admission", "KIND",
               "admission policy: none | drop-tail | deadline | "
               "token-bucket (default none)",
@@ -421,12 +448,21 @@ addOverloadFlags(Cli &cli, traffic::TrafficPlan &plan)
                        throw CliError{"--closed-pool must be >= 1"};
                })
         .value("--think-time", "T",
-               "mean closed-pool think time in cycles (default 2000)",
-               [&plan](const std::string &v) {
+               "mean closed-pool think time in cycles (default 2000; "
+               "needs --closed-pool)",
+               [&plan, thinkTimeSet](const std::string &v) {
                    plan.arrival.thinkTime = toF64(v);
                    if (plan.arrival.thinkTime < 0)
                        throw CliError{"--think-time must be >= 0"};
-               });
+                   *thinkTimeSet = true;
+               })
+        .check([&plan, thinkTimeSet] {
+            // Only closed-pool arrivals draw think gaps: anything else
+            // would silently measure the open-loop plan instead.
+            if (*thinkTimeSet &&
+                plan.arrival.kind != traffic::ArrivalKind::ClosedPool)
+                throw CliError{"--think-time needs --closed-pool"};
+        });
 }
 
 /** Register --isolate / --timeout-ms / ... / --resume on @p cli. */

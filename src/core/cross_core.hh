@@ -42,12 +42,15 @@ class CrossCoreOrdering
         ede_assert(coreCount >= 1, "need at least one core");
     }
 
-    /** Core @p core tracks an EDE instruction entering its window. */
+    /**
+     * Core @p core tracks an EDE instruction entering its window.  An
+     * enter only raises counts, so it can never release a WAIT and
+     * is not a change().
+     */
     void
     enter(unsigned core, const StaticInst &si)
     {
         perCore_.at(core).enter(si);
-        ++changes_;
     }
 
     /** Core @p core's tracked EDE instruction completed/squashed. */
@@ -59,8 +62,8 @@ class CrossCoreOrdering
     }
 
     /**
-     * Count of every enter and exit so far: a core that saw this
-     * value and sees it again knows no WAIT condition has changed
+     * Count of every exit so far: a core that saw this value and sees
+     * it again knows no WAIT it waits on can have been released
      * (CoreGroup::run wakes a sleeping core on a difference).
      */
     std::uint64_t changes() const { return changes_; }

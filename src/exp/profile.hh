@@ -18,6 +18,7 @@
 #ifndef EDE_EXP_PROFILE_HH
 #define EDE_EXP_PROFILE_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -54,7 +55,11 @@ struct HostProfile
     /** skipTarget evaluations, including failed ones (target<=now). */
     std::uint64_t skipAttempts = 0;
 
-    /** Wall time spent computing skip targets, nanoseconds. */
+    /**
+     * Wall time spent computing skip targets, nanoseconds.  An
+     * estimate: each run times the attempts made on its sampled
+     * ticks and scales by its attempt count (PhaseSampler).
+     */
     std::uint64_t skipNanos = 0;
 
     /** Simulated cycles covered by jumps instead of ticks. */
@@ -169,20 +174,21 @@ inline constexpr std::uint64_t kPhaseSamplePeriod = 64;
 
 /**
  * One run's host profiling.  The run loop calls tick() once per host
- * tick and hands the result to every PhaseTimer of that tick: every
- * kPhaseSamplePeriod-th tick (the first included) gets the sample
- * accumulator, all others get null and read no clock.  finish() adds
- * the run's wall time and its scaled phase estimates to the profile
- * -- once per run, so a profile that accumulates several runs never
- * rescales an earlier run's estimate.  Constructed with a null
- * profile it profiles nothing.
+ * tick and hands the result to every PhaseTimer of that tick, the
+ * skip attempt's included: every kPhaseSamplePeriod-th tick (the
+ * first included) gets the sample accumulator, all others get null
+ * and read no clock.  finish() adds the run's wall time and its
+ * scaled phase and skip estimates to the profile -- once per run, so
+ * a profile that accumulates several runs never rescales an earlier
+ * run's estimate.  Constructed with a null profile it profiles
+ * nothing.
  */
 class PhaseSampler
 {
   public:
     explicit PhaseSampler(HostProfile *profile)
         : profile_(profile),
-          skipStart_(profile ? profile->skipNanos : 0),
+          attemptsStart_(profile ? profile->skipAttempts : 0),
           wallStart_(std::chrono::steady_clock::now())
     {
     }
@@ -199,11 +205,13 @@ class PhaseSampler
 
     /**
      * Close the run: record its cycle count, ticking mode and wall
-     * time, and add its estimated phase nanoseconds.  The phases are
-     * disjoint slices of the run's live-tick time, so the estimate is
-     * capped at the run's wall time less its exact skip time: an
-     * outlier sample (a preempted tick) scaled up must not claim
-     * more time than the run took.
+     * time, and add its estimated skip and phase nanoseconds.  The
+     * skip estimate scales the sampled attempts' time by the run's
+     * attempts per sampled attempt.  Skip attempts and phases are
+     * disjoint slices of the run's wall time, so the skip estimate is
+     * capped at the wall time and the phases at what it leaves: an
+     * outlier sample (a preempted tick) scaled up must not claim more
+     * time than the run took.
      */
     void
     finish(Cycle cycles, bool reference)
@@ -219,9 +227,18 @@ class PhaseSampler
         profile_->wallNanos += wall;
         if (sampled_ == 0)
             return;
-        const std::uint64_t skip = profile_->skipNanos - skipStart_;
-        const double live = static_cast<double>(wall > skip ? wall - skip
-                                                            : 0);
+        std::uint64_t skip = 0;
+        if (sample_.skipAttempts > 0) {
+            const double attempts = static_cast<double>(
+                profile_->skipAttempts - attemptsStart_);
+            skip = std::min(
+                wall, static_cast<std::uint64_t>(
+                          static_cast<double>(sample_.skipNanos) *
+                          attempts /
+                          static_cast<double>(sample_.skipAttempts)));
+        }
+        profile_->skipNanos += skip;
+        const double live = static_cast<double>(wall - skip);
         const double total = static_cast<double>(
             sample_.memNanos + sample_.fetchNanos + sample_.issueNanos +
             sample_.wbNanos);
@@ -241,7 +258,7 @@ class PhaseSampler
 
   private:
     HostProfile *profile_;
-    std::uint64_t skipStart_;
+    std::uint64_t attemptsStart_;
     std::chrono::steady_clock::time_point wallStart_;
     std::uint64_t ticks_ = 0;
     std::uint64_t sampled_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -54,21 +55,57 @@ PersistOrderGraph::finalize()
                    "prefix");
     }
 
+    // marks holds node i's distinct preds while i is processed.
+    // Row j of ancestors holds every node some path of edges leads
+    // from to j; every edge points backward, so a row is complete
+    // before any later node reads it.  n^2/8 bytes, freed on return.
+    const std::size_t words = (n + 63) / 64;
+    std::vector<std::uint64_t> marks(words, 0);
+    std::vector<std::uint64_t> ancestors(n * words, 0);
+    std::vector<std::size_t> kept;
+
     minSucc.assign(n, n);
     for (std::size_t i = 0; i < n; ++i) {
         PersistNode &node = nodes[i];
-        std::sort(node.preds.begin(), node.preds.end());
-        node.preds.erase(
-            std::unique(node.preds.begin(), node.preds.end()),
-            node.preds.end());
+        for (std::size_t p : node.preds) {
+            ede_assert(p < n, "persist-order edge names no event");
+            marks[p / 64] |= std::uint64_t{1} << (p % 64);
+        }
+
         // An edge must point backward in accept order; anything else
         // is a constraint the hardware never sequenced (see file
         // comment) and is dropped defensively.
-        const auto fwd = std::lower_bound(node.preds.begin(),
-                                          node.preds.end(), i);
-        stats.nonmonotone += node.preds.end() - fwd;
-        node.preds.erase(fwd, node.preds.end());
+        for (std::size_t w = i / 64; w < words; ++w) {
+            std::uint64_t fwd = marks[w];
+            if (w == i / 64)
+                fwd &= ~std::uint64_t{0} << (i % 64);
+            stats.nonmonotone += std::popcount(fwd);
+            marks[w] &= ~fwd;
+        }
 
+        // Youngest pred first: a pred an already-kept younger pred
+        // reaches imposes no order of its own.  A younger pred that
+        // was dropped is reached through a kept one, so the kept
+        // preds' ancestors cover it and whatever it reaches.
+        std::uint64_t *row = &ancestors[i * words];
+        kept.clear();
+        for (std::size_t w = (i + 63) / 64; w-- > 0;) {
+            while (marks[w]) {
+                const std::size_t p =
+                    64 * w + 63 - std::countl_zero(marks[w]);
+                marks[w] &= ~(std::uint64_t{1} << (p % 64));
+                if ((row[p / 64] >> (p % 64)) & 1)
+                    continue;
+                kept.push_back(p);
+                const std::uint64_t *from = &ancestors[p * words];
+                for (std::size_t k = 0; k <= p / 64; ++k)
+                    row[k] |= from[k];
+                row[p / 64] |= std::uint64_t{1} << (p % 64);
+            }
+        }
+
+        // A fresh vector releases the implied edges' storage.
+        node.preds = std::vector<std::size_t>(kept.rbegin(), kept.rend());
         node.postSetupPreds.clear();
         for (std::size_t p : node.preds) {
             if (p >= preSetupCount)
@@ -79,11 +116,11 @@ PersistOrderGraph::finalize()
 }
 
 PersistOrderGraph
-buildJointPersistOrder(std::span<const Trace> traces,
-                       const std::vector<PersistEvent> &events,
-                       const std::vector<MediaWriteEvent> &mediaWrites,
-                       std::span<const std::vector<Cycle>> completionCycles,
-                       Cycle setupCompleteCycle, std::uint32_t lineBytes)
+assembleJointPersistOrder(
+    std::span<const Trace> traces, const std::vector<PersistEvent> &events,
+    const std::vector<MediaWriteEvent> &mediaWrites,
+    std::span<const std::vector<Cycle>> completionCycles,
+    Cycle setupCompleteCycle, std::uint32_t lineBytes)
 {
     const auto cores = static_cast<unsigned>(traces.size());
     ede_assert(cores >= 1, "persist order needs >= 1 core");
@@ -374,6 +411,19 @@ buildJointPersistOrder(std::span<const Trace> traces,
         }
     }
 
+    return g;
+}
+
+PersistOrderGraph
+buildJointPersistOrder(std::span<const Trace> traces,
+                       const std::vector<PersistEvent> &events,
+                       const std::vector<MediaWriteEvent> &mediaWrites,
+                       std::span<const std::vector<Cycle>> completionCycles,
+                       Cycle setupCompleteCycle, std::uint32_t lineBytes)
+{
+    PersistOrderGraph g = assembleJointPersistOrder(
+        traces, events, mediaWrites, completionCycles,
+        setupCompleteCycle, lineBytes);
     g.finalize();
     return g;
 }

@@ -111,7 +111,11 @@ struct PersistNode
     /** Accepted during pool setup: durable in every crash state. */
     bool preSetup = false;
 
-    /** Immediate predecessors (earlier event indices), sorted unique. */
+    /**
+     * Immediate predecessors (earlier event indices, ascending): after
+     * finalize() only the covering edges, none reachable from another
+     * through the order.  Before it, every edge the walk derived.
+     */
     std::vector<std::size_t> preds;
 
     /**
@@ -192,10 +196,19 @@ struct PersistOrderGraph
     }
 
     /**
-     * Normalize hand- or builder-assembled edges: sort and dedup each
-     * pred list, drop (and count) edges that do not point backward in
-     * accept order, then derive preSetupCount, postSetupPreds and
-     * minSucc.  Must be called before the graph is enumerated.
+     * Normalize hand- or walk-assembled edges: dedup each pred
+     * list, drop (and count) edges that do not point backward in
+     * accept order, keep only the covering edges, then derive
+     * preSetupCount, postSetupPreds and minSucc.  Must be called
+     * before the graph is enumerated; calling it again changes
+     * nothing.
+     *
+     * Dropping a pred that a younger pred reaches keeps every
+     * answer: a set closed under the covering edges is closed under
+     * all of them, so the ideals, isLegalDurableSet and the
+     * maximal-in-set test are unchanged, and an event's first
+     * successor is always a covering one, so minSucc is too.  stats
+     * still counts the edges as the walk derived them.
      */
     void finalize();
 };
@@ -220,6 +233,18 @@ buildJointPersistOrder(std::span<const Trace> traces,
                        const std::vector<MediaWriteEvent> &mediaWrites,
                        std::span<const std::vector<Cycle>> completionCycles,
                        Cycle setupCompleteCycle, std::uint32_t lineBytes);
+
+/**
+ * buildJointPersistOrder without its finalize(): every edge the walk
+ * derived, duplicates and forward edges included (the raw input the
+ * tests hold finalize() to).
+ */
+PersistOrderGraph
+assembleJointPersistOrder(
+    std::span<const Trace> traces, const std::vector<PersistEvent> &events,
+    const std::vector<MediaWriteEvent> &mediaWrites,
+    std::span<const std::vector<Cycle>> completionCycles,
+    Cycle setupCompleteCycle, std::uint32_t lineBytes);
 
 } // namespace ede
 

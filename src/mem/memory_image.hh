@@ -13,6 +13,7 @@
 #ifndef EDE_MEM_MEMORY_IMAGE_HH
 #define EDE_MEM_MEMORY_IMAGE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -70,6 +71,30 @@ class MemoryImage
     {
         for (const auto &[addr, page] : pages_)
             fn(addr, std::span<const std::uint8_t>(page));
+    }
+
+    /**
+     * Call @p fn(addr, bytes) for every materialized page overlapping
+     * [@p addr, @p addr + @p len), in address order; bytes spans the
+     * page's part of the range and starts at addr.  Absent pages read
+     * as zeros and are skipped: one page lookup per page, no copy.
+     */
+    template <typename Fn>
+    void
+    forEachPageIn(Addr addr, std::size_t len, Fn &&fn) const
+    {
+        const Addr end = addr + len;
+        while (addr < end) {
+            const Addr page_addr = addr & ~(kPageSize - 1);
+            const std::size_t off = addr - page_addr;
+            const std::size_t chunk =
+                std::min<std::size_t>(end - addr, kPageSize - off);
+            if (const Page *page = findPage(page_addr)) {
+                fn(addr, std::span<const std::uint8_t>(
+                             page->data() + off, chunk));
+            }
+            addr += chunk;
+        }
     }
 
     /**

@@ -1,5 +1,6 @@
 #include "nvm/undo_log.hh"
 
+#include <cstring>
 #include <vector>
 
 #include "common/logging.hh"
@@ -11,6 +12,8 @@ recoverUndoLog(MemoryImage &image, const UndoLogLayout &layout)
 {
     ede_assert(layout.stateAddr != kNoAddr && layout.capacity > 0,
                "recovery needs a valid log layout");
+    ede_assert((layout.entriesBase & 15) == 0,
+               "log entries must be 16-byte aligned");
     RecoveryResult result;
     const std::uint64_t state =
         image.read<std::uint64_t>(layout.stateAddr);
@@ -18,20 +21,29 @@ recoverUndoLog(MemoryImage &image, const UndoLogLayout &layout)
 
     // Collect the valid entries in log order, discarding torn ones
     // (non-empty addr word whose checksum disagrees with the pair).
+    // The scan walks the entry array's materialized pages: an absent
+    // page holds only empty entries, and an aligned entry never
+    // straddles two pages.
     std::vector<std::uint64_t> valid;
     std::vector<std::uint64_t> torn;
-    for (std::uint64_t i = 0; i < layout.capacity; ++i) {
-        const std::uint64_t word =
-            image.read<std::uint64_t>(layout.entryAddr(i));
-        if (word == 0)
-            continue;
-        const std::uint64_t old_val =
-            image.read<std::uint64_t>(layout.entryAddr(i) + 8);
-        if (undoEntryIntact(word, old_val))
-            valid.push_back(i);
-        else
-            torn.push_back(i);
-    }
+    image.forEachPageIn(
+        layout.entriesBase, 16 * layout.capacity,
+        [&](Addr addr, std::span<const std::uint8_t> bytes) {
+            const std::uint64_t first = (addr - layout.entriesBase) / 16;
+            for (std::size_t off = 0; off < bytes.size(); off += 16) {
+                std::uint64_t word;
+                std::memcpy(&word, bytes.data() + off, 8);
+                if (word == 0)
+                    continue;
+                std::uint64_t old_val;
+                std::memcpy(&old_val, bytes.data() + off + 8, 8);
+                const std::uint64_t i = first + off / 16;
+                if (undoEntryIntact(word, old_val))
+                    valid.push_back(i);
+                else
+                    torn.push_back(i);
+            }
+        });
     result.entriesTorn = torn.size();
 
     if (!result.sawCommitted) {

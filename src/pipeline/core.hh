@@ -337,7 +337,8 @@ class OoOCore
      * After an idle tick with no refused load, the core's next tick
      * can differ from it only once one of its memory requests
      * finishes, one of its own timed events comes due, another core's
-     * WAIT counters change, or runChecks releases a degrade gate.
+     * WAIT counters drop (an exit), or runChecks releases a degrade
+     * gate.
      * Until then CoreGroup::run skips its pipeline; waking replays the
      * skipped cycles' stall counters.
      */

@@ -140,12 +140,15 @@ CoreGroup::run(const std::vector<const Trace *> &traces,
         // Dead tick: every cycle until the earliest advertised event
         // of the shared hierarchy or of any unfinished core (its
         // write buffer, timed events and check firing cycles) is an
-        // identical no-op, so jump there.
+        // identical no-op, so jump there.  Attempts are counted
+        // exactly and timed on sampled ticks only, like the phases.
         Cycle target;
         {
-            PhaseTimer timer(prof, &HostProfile::skipNanos);
+            PhaseTimer timer(timed, &HostProfile::skipNanos);
             if (prof)
                 ++prof->skipAttempts;
+            if (timed)
+                ++timed->skipAttempts;
             target = mem.nextEventCycle(now);
             for (std::size_t i = 0; i < n; ++i) {
                 if (running[i])

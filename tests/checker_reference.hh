@@ -1,7 +1,7 @@
 /**
  * @file
- * From-scratch references for DurableSetChecker, shared by the one-core
- * and N-core checker tests.
+ * From-scratch references for DurableSetChecker and the persist order,
+ * shared by the one-core and N-core checker tests.
  *
  * check() reaches each state incrementally from the one before, through
  * an undo stack, and dedups on a line-sum StateKey; tornCandidates()
@@ -9,6 +9,11 @@
  * both to the from-scratch definitions: every state re-materialized
  * from the setup image, content classes decided by contentEquals, and
  * tornCandidates() over hash sets built from the whole set.
+ *
+ * PersistOrderGraph::finalize() keeps only each node's covering
+ * preds.  finalizeKeepingEveryEdge() is the sort/unique normalization
+ * that kept every edge, and expectCoveringOrderMatchesReference()
+ * holds the two graphs to the same answers.
  */
 
 #ifndef EDE_TESTS_CHECKER_REFERENCE_HH
@@ -24,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "fault/model_check/checker.hh"
 
 namespace ede::checker_reference {
@@ -85,6 +91,236 @@ expectFlatTornCandidates(const PersistOrderGraph &graph,
     });
     EXPECT_GT(sets, 1u) << label;
     EXPECT_GT(candidates, 0u) << label;
+}
+
+/**
+ * PersistOrderGraph::finalize() before covering edges: sort and dedup
+ * each pred list and drop (and count) forward edges, keeping every
+ * edge the walk derived.
+ */
+inline void
+finalizeKeepingEveryEdge(PersistOrderGraph &g)
+{
+    const std::size_t n = g.nodes.size();
+    g.preSetupCount = 0;
+    while (g.preSetupCount < n && g.nodes[g.preSetupCount].preSetup)
+        ++g.preSetupCount;
+    g.minSucc.assign(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        PersistNode &node = g.nodes[i];
+        std::sort(node.preds.begin(), node.preds.end());
+        node.preds.erase(
+            std::unique(node.preds.begin(), node.preds.end()),
+            node.preds.end());
+        const auto fwd = std::lower_bound(node.preds.begin(),
+                                          node.preds.end(), i);
+        g.stats.nonmonotone += node.preds.end() - fwd;
+        node.preds.erase(fwd, node.preds.end());
+        node.postSetupPreds.clear();
+        for (std::size_t p : node.preds) {
+            if (p >= g.preSetupCount)
+                node.postSetupPreds.push_back(p);
+            g.minSucc[p] = std::min(g.minSucc[p], i);
+        }
+    }
+}
+
+/** Each node's ancestors -- every node a path of preds leads from. */
+class Ancestors
+{
+  public:
+    /** @p g must be finalized: every pred points backward. */
+    explicit Ancestors(const PersistOrderGraph &g)
+        : words_((g.nodes.size() + 63) / 64),
+          bits_(g.nodes.size() * words_, 0)
+    {
+        for (std::size_t i = 0; i < g.nodes.size(); ++i) {
+            for (std::size_t p : g.nodes[i].preds) {
+                bits_[i * words_ + p / 64] |= std::uint64_t{1} << (p % 64);
+                for (std::size_t k = 0; k < words_; ++k)
+                    bits_[i * words_ + k] |= bits_[p * words_ + k];
+            }
+        }
+    }
+
+    bool
+    reaches(std::size_t from, std::size_t to) const
+    {
+        return (bits_[to * words_ + from / 64] >> (from % 64)) & 1;
+    }
+
+    bool operator==(const Ancestors &) const = default;
+
+  private:
+    std::size_t words_;
+    std::vector<std::uint64_t> bits_;
+};
+
+/** Persist events matching a hand-built graph's nodes (bytes: i + 1). */
+inline std::vector<PersistEvent>
+eventsOf(const PersistOrderGraph &graph)
+{
+    std::vector<PersistEvent> events(graph.nodes.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        events[i].addr = graph.nodes[i].addr;
+        events[i].size = graph.nodes[i].size;
+        events[i].cycle = graph.nodes[i].accept;
+        events[i].bytes.assign(graph.nodes[i].size,
+                               static_cast<std::uint8_t>(i + 1));
+    }
+    return events;
+}
+
+/**
+ * Finalize @p raw both ways -- finalize() and finalizeKeepingEveryEdge()
+ * -- and require the same answers from both graphs:
+ *
+ *  - preSetupCount, minSucc and stats (nonmonotone included) equal;
+ *    finalize() run again changes nothing;
+ *  - the covering preds are a subset of every edge, none reachable
+ *    from another, with the same ancestors as every edge gives;
+ *  - forEachDurableSet emits the same sequence, unbounded and under a
+ *    two-line drain budget (up to @p maxStates sets each, 0: all);
+ *  - isLegalDurableSet agrees on random subsets and on each of the
+ *    first enumerated ideals with one event toggled, under both
+ *    budgets;
+ *  - DurableSetChecker::tornCandidates agrees on every ideal, caps 1-4.
+ *
+ * @return the implied edges finalize() dropped.
+ */
+inline std::size_t
+expectCoveringOrderMatchesReference(const PersistOrderGraph &raw,
+                                    const std::vector<PersistEvent> &events,
+                                    const MemoryImage &baseline,
+                                    const std::string &label,
+                                    std::uint64_t maxStates = 0)
+{
+    PersistOrderGraph every = raw;
+    finalizeKeepingEveryEdge(every);
+    PersistOrderGraph covering = raw;
+    covering.finalize();
+    const std::size_t n = raw.nodes.size();
+
+    EXPECT_EQ(covering.preSetupCount, every.preSetupCount) << label;
+    EXPECT_EQ(covering.minSucc, every.minSucc) << label;
+    auto statsOf = [](const PersistOrderStats &s) {
+        return std::vector<std::uint64_t>{
+            s.sameLine, s.edk,      s.keyChain,  s.fence,
+            s.lineGate, s.nonmonotone, s.crossWait, s.crossLine};
+    };
+    EXPECT_EQ(statsOf(covering.stats), statsOf(every.stats)) << label;
+
+    PersistOrderGraph again = covering;
+    again.finalize();
+    EXPECT_EQ(statsOf(again.stats), statsOf(covering.stats)) << label;
+    EXPECT_EQ(again.minSucc, covering.minSucc) << label;
+
+    const Ancestors ancestors(every);
+    EXPECT_TRUE(Ancestors(covering) == ancestors) << label;
+    std::size_t dropped = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::vector<std::size_t> &kept = covering.nodes[i].preds;
+        const std::vector<std::size_t> &all = every.nodes[i].preds;
+        EXPECT_EQ(again.nodes[i].preds, kept) << label << " node " << i;
+        EXPECT_TRUE(std::is_sorted(kept.begin(), kept.end()))
+            << label << " node " << i;
+        EXPECT_TRUE(std::includes(all.begin(), all.end(), kept.begin(),
+                                  kept.end()))
+            << label << " node " << i;
+        dropped += all.size() - kept.size();
+        for (std::size_t p : kept) {
+            for (std::size_t q : kept) {
+                EXPECT_FALSE(p != q && ancestors.reaches(p, q))
+                    << label << " node " << i << ": pred " << p
+                    << " reaches pred " << q;
+            }
+        }
+        std::vector<std::size_t> postSetup;
+        for (std::size_t p : kept) {
+            if (p >= covering.preSetupCount)
+                postSetup.push_back(p);
+        }
+        EXPECT_EQ(covering.nodes[i].postSetupPreds, postSetup)
+            << label << " node " << i;
+    }
+
+    // Same durable sets, in the same order.
+    std::vector<std::vector<std::size_t>> ideals;
+    for (std::uint32_t drain : {FaultPlan::kDrainAll, 2u}) {
+        EnumerationLimits limits;
+        limits.drainLines = drain;
+        limits.maxStates = maxStates;
+        std::vector<std::vector<std::size_t>> want;
+        forEachDurableSet(every, limits, [&](const DurableSetView &v) {
+            want.push_back(v.postSetup);
+            return true;
+        });
+        std::vector<std::vector<std::size_t>> got;
+        forEachDurableSet(covering, limits, [&](const DurableSetView &v) {
+            got.push_back(v.postSetup);
+            return true;
+        });
+        EXPECT_EQ(got, want) << label << " drain " << drain;
+        if (drain == FaultPlan::kDrainAll)
+            ideals = std::move(want);
+    }
+    EXPECT_GT(ideals.size(), 1u) << label;
+
+    // Legality on sets that are and are not ideals.
+    Rng rng(0x1e6a1ull + n);
+    std::vector<std::vector<std::size_t>> probes;
+    for (int k = 0; k < 400; ++k) {
+        std::vector<std::size_t> set;
+        for (std::size_t i = every.preSetupCount; i < n; ++i) {
+            if (rng.chance(0.5))
+                set.push_back(i);
+        }
+        probes.push_back(std::move(set));
+    }
+    for (std::size_t k = 0; k < std::min<std::size_t>(ideals.size(), 400);
+         ++k) {
+        if (n == every.preSetupCount)
+            break;
+        std::vector<std::size_t> set = ideals[k];
+        const std::size_t e = every.preSetupCount +
+                              rng.below(n - every.preSetupCount);
+        const auto at = std::lower_bound(set.begin(), set.end(), e);
+        if (at != set.end() && *at == e)
+            set.erase(at);
+        else
+            set.insert(at, e);
+        probes.push_back(std::move(set));
+    }
+    std::size_t legal = 0;
+    for (const std::vector<std::size_t> &set : probes) {
+        for (std::uint32_t drain : {FaultPlan::kDrainAll, 2u}) {
+            const bool want = isLegalDurableSet(every, drain, set);
+            EXPECT_EQ(isLegalDurableSet(covering, drain, set), want)
+                << label << " drain " << drain;
+            legal += want;
+        }
+    }
+    EXPECT_GT(legal, 0u) << label;
+    EXPECT_LT(legal, 2 * probes.size()) << label;
+
+    // Torn candidates of every ideal.
+    auto judge = [](MemoryImage &) {
+        return DurableSetChecker::StateVerdict{};
+    };
+    DurableSetChecker everyChecker(events, baseline, every, judge);
+    DurableSetChecker coveringChecker(events, baseline, covering, judge);
+    std::size_t candidates = 0;
+    for (const std::vector<std::size_t> &set : ideals) {
+        for (std::size_t cap = 1; cap <= 4; ++cap) {
+            const std::vector<std::size_t> want =
+                everyChecker.tornCandidates(set, cap);
+            EXPECT_EQ(coveringChecker.tornCandidates(set, cap), want)
+                << label << " cap " << cap;
+            candidates += want.size();
+        }
+    }
+    EXPECT_GT(candidates, 0u) << label;
+    return dropped;
 }
 
 /** One state check() can be asked about. */

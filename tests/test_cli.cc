@@ -227,6 +227,44 @@ TEST(Cli, ClosedPoolWinsOverBurstyInEitherOrder)
     }
 }
 
+/** A plan parsed through both traffic flag sets. */
+traffic::TrafficPlan
+parseTrafficPlan(Args args)
+{
+    traffic::TrafficPlan plan;
+    std::vector<double> gaps;
+    Cli cli("testprog");
+    bench::addTrafficFlags(cli, plan, gaps);
+    bench::addOverloadFlags(cli, plan);
+    cli.parse(args.argc(), args.argv());
+    return plan;
+}
+
+TEST(Cli, ThinkTimeWithClosedPoolInEitherOrder)
+{
+    for (const traffic::TrafficPlan &plan :
+         {parseTrafficPlan(Args({"--think-time", "500", "--closed-pool",
+                                 "3"})),
+          parseTrafficPlan(Args({"--closed-pool", "3", "--think-time",
+                                 "500"}))}) {
+        EXPECT_EQ(plan.arrival.kind, traffic::ArrivalKind::ClosedPool);
+        EXPECT_DOUBLE_EQ(plan.arrival.thinkTime, 500.0);
+    }
+}
+
+TEST(CliDeathTest, ThinkTimeWithoutClosedPoolIsRejected)
+{
+    // Only closed-pool arrivals draw think gaps, so a think time on an
+    // open-loop plan is a mistyped invocation, whatever the order.
+    const char *want = "testprog: --think-time needs --closed-pool";
+    EXPECT_EXIT(parseTrafficPlan(Args({"--think-time", "500"})),
+                ::testing::ExitedWithCode(2), want);
+    EXPECT_EXIT(parseTrafficPlan(Args({"--think-time", "500", "--bursty"})),
+                ::testing::ExitedWithCode(2), want);
+    EXPECT_EXIT(parseTrafficPlan(Args({"--bursty", "--think-time", "500"})),
+                ::testing::ExitedWithCode(2), want);
+}
+
 TEST(CliDeathTest, ZeroStreamsIsRejected)
 {
     traffic::TrafficPlan plan;

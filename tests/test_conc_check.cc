@@ -164,6 +164,24 @@ TEST(ConcOrder, JointGraphCarriesCrossCoreEdges)
     EXPECT_GT(jointB.stats.fence, 0u);
 }
 
+TEST(ConcOrder, CoveringEdgesMatchEveryEdge)
+{
+    // The rwlock gate workload: cross-core WAIT edges (IQ, WB) and
+    // fence edges (B) over two cores.
+    std::size_t dropped = 0;
+    for (Config cfg : {Config::B, Config::IQ, Config::WB}) {
+        auto h = concRun(ConcApp::RwLock, cfg, 2, 4, 57);
+        const PersistOrderGraph raw = assembleJointPersistOrder(
+            h->traces(), h->system().persistEvents(),
+            h->system().mediaWriteEvents(), h->completionMatrix(),
+            /*setupCompleteCycle=*/0, h->mediaLineBytes());
+        dropped += checker_reference::expectCoveringOrderMatchesReference(
+            raw, h->system().persistEvents(), h->baselineNvm(),
+            "rwlock/" + std::string(configName(cfg)));
+    }
+    EXPECT_GT(dropped, 0u);
+}
+
 TEST(ConcOrder, RemotePersistsOutstandingAtCrashPoints)
 {
     // The slow-media regime must create crash points where a remote

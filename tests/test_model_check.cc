@@ -467,6 +467,118 @@ TEST(ModelCheck, FlatTornCandidatesMatchTheReference)
                                                 "update/B 24x8");
 }
 
+/** buildPersistOrder(h) before finalize(): every derived edge. */
+PersistOrderGraph
+rawOrder(const WorkloadHarness &h)
+{
+    const System &sys = h.system();
+    return assembleJointPersistOrder(
+        {&h.trace(), 1}, sys.persistEvents(), sys.mediaWriteEvents(),
+        {&sys.completionCycles(), 1}, h.setupCompleteCycle(),
+        sys.mem().controller().nvm().params().lineBytes);
+}
+
+TEST(ModelCheckOrder, FinalizeKeepsOnlyCoveringEdges)
+{
+    // Events 0 and 1 are setup persists; 4 and 5 share a 64 B line;
+    // event 3 reaches the media before event 5 is accepted.
+    PersistOrderGraph g = handGraph(9, {});
+    g.nodes[0].preSetup = true;
+    g.nodes[1].preSetup = true;
+    g.nodes[5].addr = g.nodes[4].addr;
+    g.nodes[3].mediaCycle = 145;
+    g.nodes[1].preds = {0};
+    g.nodes[2].preds = {0, 1};        // 0 is implied through setup 1.
+    g.nodes[3].preds = {2, 2, 0};     // A duplicate; 0 through 2.
+    g.nodes[4].preds = {2, 6, 4};     // A forward and a self edge.
+    g.nodes[5].preds = {3, 4, 2, 1};  // 2 and 1 through 3 and 4.
+    g.nodes[6].preds = {5, 3, 3};     // 3 through 5.
+    g.nodes[7].preds = {8, 8};        // One forward edge, twice.
+    g.nodes[8].preds = {7, 4};
+    const PersistOrderGraph raw = g;
+    g.finalize();
+
+    EXPECT_EQ(g.preSetupCount, 2u);
+    EXPECT_EQ(g.stats.nonmonotone, 3u);
+    const std::vector<std::vector<std::size_t>> covering{
+        {}, {0}, {1}, {2}, {2}, {3, 4}, {5}, {}, {4, 7}};
+    for (std::size_t i = 0; i < g.nodes.size(); ++i)
+        EXPECT_EQ(g.nodes[i].preds, covering[i]) << "node " << i;
+    EXPECT_TRUE(g.nodes[2].postSetupPreds.empty());
+    EXPECT_EQ(g.minSucc,
+              (std::vector<std::size_t>{1, 2, 3, 5, 5, 6, 9, 8, 9}));
+
+    EXPECT_EQ(checker_reference::expectCoveringOrderMatchesReference(
+                  raw, checker_reference::eventsOf(raw), MemoryImage{},
+                  "hand"),
+              5u);
+}
+
+TEST(ModelCheckOrder, CoveringEdgesMatchEveryEdgeOnRandomGraphs)
+{
+    // Dense random orders with setup prefixes, shared 64 B and 256 B
+    // lines, media cycles, duplicates and forward edges.
+    std::size_t dropped = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        Rng rng(seed);
+        const std::size_t n = rng.between(6, 14);
+        const std::size_t setup = rng.below(3);
+        PersistOrderGraph g;
+        g.nodes.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            PersistNode &node = g.nodes[i];
+            node.addr = 0x10000 + 64 * rng.below(n);
+            node.size = rng.chance(0.8) ? 64 : 8;
+            node.accept = 100 + 10 * i;
+            node.preSetup = i < setup;
+            if (rng.chance(0.5))
+                node.mediaCycle = node.accept + 5 + rng.below(60);
+            for (std::size_t p = 0; p < i; ++p) {
+                if (rng.chance(0.35))
+                    node.preds.push_back(p);
+                if (rng.chance(0.05))
+                    node.preds.push_back(p);
+            }
+            if (i + 1 < n && rng.chance(0.1))
+                node.preds.push_back(i + 1 + rng.below(n - i - 1));
+        }
+        dropped += checker_reference::expectCoveringOrderMatchesReference(
+            g, checker_reference::eventsOf(g), MemoryImage{},
+            "random " + std::to_string(seed));
+    }
+    EXPECT_GT(dropped, 0u);
+}
+
+TEST(ModelCheckOrder, CoveringEdgesMatchEveryEdgeOnRealRuns)
+{
+    std::size_t dropped = 0;
+    for (AppId app : {AppId::Update, AppId::Swap}) {
+        for (Config cfg : {Config::B, Config::IQ, Config::WB}) {
+            auto h = microRun(cfg, app);
+            dropped += checker_reference::expectCoveringOrderMatchesReference(
+                rawOrder(*h), h->system().persistEvents(), h->baselineNvm(),
+                latticeLabel(app, cfg));
+        }
+    }
+    EXPECT_GT(dropped, 0u);
+
+    // At txns=4, ops=6 the WB write buffer accepts two definitions of
+    // one key out of order, so the raw graph carries a forward edge.
+    WorkloadHarness h(AppId::Update, Config::WB,
+                      RunSpec{/*txns=*/4, /*opsPerTxn=*/6, /*seed=*/42},
+                      microParams());
+    h.enableAudit();
+    h.generate();
+    h.simulate();
+    const PersistOrderGraph raw = rawOrder(h);
+    PersistOrderGraph every = raw;
+    checker_reference::finalizeKeepingEveryEdge(every);
+    EXPECT_GT(every.stats.nonmonotone, 0u);
+    checker_reference::expectCoveringOrderMatchesReference(
+        raw, h.system().persistEvents(), h.baselineNvm(), "update/WB 4x6",
+        /*maxStates=*/20000);
+}
+
 TEST(ModelCheck, WaitEdgesCoverAllProducersUnderAcceptInversion)
 {
     // At txns=4, ops=6 the WB write buffer accepts two successive

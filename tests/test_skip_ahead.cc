@@ -179,7 +179,7 @@ TEST(SkipAhead, ProfileSeparatesTheModes)
               skip.profile.cyclesSimulated);
     EXPECT_EQ(skip.profile.cyclesSimulated, skip.result.cycles);
 
-    // The sampled phase estimates are positive and, with the exact
+    // The sampled phase estimates are positive and, with the sampled
     // skip time, fit inside the run's wall time (the fig9 harness's
     // setup and op phases are one run, scaled once).
     for (const HostProfile *p : {&ref.profile, &skip.profile}) {
@@ -240,8 +240,8 @@ TEST(SkipAhead, PhaseEstimatesScaleOncePerRun)
     // A machine runs once, so the only profile that sees two runs is
     // one shared across them (as a sweep total is): here two one-core
     // groups hand the same profile to run.  Each run scales its own
-    // sample once, so the phase estimates plus the exact skip time
-    // never exceed the accumulated wall time.
+    // sample once, so the phase and skip estimates never exceed the
+    // accumulated wall time.
     HostProfile prof;
     MemSystem mem_a;
     MemSystem mem_b;
