@@ -90,7 +90,7 @@ BM_CacheHit(benchmark::State &state)
     mem.warmLine(0x1000, 1);
     for (auto _ : state) {
         if (auto id = mem.sendLoad(0x1000, 8, now)) {
-            while (!mem.consumeDone(*id))
+            while (!mem.consumeDone(*id, 0))
                 mem.tick(now++);
         }
     }

@@ -64,7 +64,8 @@ class CrossCoreOrdering
     /**
      * Count of every exit so far: a core that saw this value and sees
      * it again knows no WAIT it waits on can have been released
-     * (CoreGroup::run wakes a sleeping core on a difference).
+     * (CoreGroup::run looks again at the gate of a core asleep behind
+     * a WAIT on a difference).
      */
     std::uint64_t changes() const { return changes_; }
 

@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -14,49 +15,60 @@ MemSink::replayRefused(const MemReq &req, std::uint64_t n)
               " at a sink that never defers an accept");
 }
 
+ReqRing::ReqRing(std::size_t capacity)
+{
+    grow(std::bit_ceil(capacity));
+}
+
+void
+ReqRing::grow(std::size_t capacity)
+{
+    std::vector<MemReq> buf(capacity);
+    const std::size_t n = size();
+    for (std::size_t i = 0; i < n; ++i)
+        buf[i] = buf_[(head_ + i) & mask_];
+    buf_.swap(buf);
+    mask_ = capacity - 1;
+    head_ = 0;
+    tail_ = n;
+}
+
 Cache::Cache(CacheParams params, MemSink *below)
-    : params_(std::move(params)), below_(below)
+    : params_(std::move(params)), below_(below),
+      inputQ_(params_.inputQueue)
 {
     ede_assert(below_, "cache '", params_.name, "' needs a level below");
     ede_assert((params_.lineBytes & (params_.lineBytes - 1)) == 0,
                "line size must be a power of two");
     mask_ = params_.lineBytes - 1;
+    lineShift_ = static_cast<unsigned>(std::countr_zero(params_.lineBytes));
     numSets_ = params_.sizeBytes / (params_.lineBytes * params_.assoc);
     ede_assert(numSets_ > 0, "cache '", params_.name, "' too small");
+    pow2Sets_ = std::has_single_bit(numSets_);
+    tags_.assign(numSets_ * params_.assoc, kNoAddr);
     lines_.resize(numSets_ * params_.assoc);
     mshrs_.resize(params_.mshrs);
+    freeMshrs_ = mshrs_.size();
 }
 
 std::size_t
-Cache::setIndex(Addr line_addr) const
-{
-    return (line_addr / params_.lineBytes) % numSets_;
-}
-
-Cache::Line *
-Cache::lookup(Addr addr)
-{
-    const Addr la = lineAddr(addr);
-    const std::size_t set = setIndex(la);
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Line &line = lines_[set * params_.assoc + w];
-        if (line.valid && line.tag == la)
-            return &line;
-    }
-    return nullptr;
-}
-
-const Cache::Line *
 Cache::lookup(Addr addr) const
 {
-    return const_cast<Cache *>(this)->lookup(addr);
+    const Addr la = lineAddr(addr);
+    const std::size_t base = setBase(la);
+    for (std::size_t w = base; w < base + params_.assoc; ++w) {
+        if (tags_[w] == la)
+            return w;
+    }
+    return kNoWay;
 }
 
 void
 Cache::preload(Addr addr, Cycle now, bool dirty)
 {
-    if (Line *line = lookup(addr))
-        line->dirty = line->dirty || dirty;
+    const std::size_t way = lookup(addr);
+    if (way != kNoWay)
+        lines_[way].dirty = lines_[way].dirty || dirty;
     else
         installLine(lineAddr(addr), dirty, now);
 }
@@ -64,12 +76,12 @@ Cache::preload(Addr addr, Cycle now, bool dirty)
 SnoopResult
 Cache::snoopInvalidate(Addr addr)
 {
-    Line *line = lookup(addr);
-    if (!line)
+    const std::size_t way = lookup(addr);
+    if (way == kNoWay)
         return SnoopResult::Miss;
-    const bool was_dirty = line->dirty;
-    line->valid = false;
-    line->dirty = false;
+    const bool was_dirty = lines_[way].dirty;
+    tags_[way] = kNoAddr;
+    lines_[way].dirty = false;
     ++stats_.snoopInvalidations;
     return was_dirty ? SnoopResult::Dirty : SnoopResult::Clean;
 }
@@ -77,12 +89,12 @@ Cache::snoopInvalidate(Addr addr)
 SnoopResult
 Cache::snoopDowngrade(Addr addr)
 {
-    Line *line = lookup(addr);
-    if (!line)
+    const std::size_t way = lookup(addr);
+    if (way == kNoWay)
         return SnoopResult::Miss;
-    if (!line->dirty)
+    if (!lines_[way].dirty)
         return SnoopResult::Clean;
-    line->dirty = false;
+    lines_[way].dirty = false;
     ++stats_.snoopDowngrades;
     return SnoopResult::Dirty;
 }
@@ -90,14 +102,14 @@ Cache::snoopDowngrade(Addr addr)
 bool
 Cache::probe(Addr addr) const
 {
-    return lookup(addr) != nullptr;
+    return lookup(addr) != kNoWay;
 }
 
 bool
 Cache::probeDirty(Addr addr) const
 {
-    const Line *line = lookup(addr);
-    return line && line->dirty;
+    const std::size_t way = lookup(addr);
+    return way != kNoWay && lines_[way].dirty;
 }
 
 bool
@@ -115,6 +127,8 @@ Cache::tryAccept(const MemReq &req, Cycle now)
 Cache::Mshr *
 Cache::findMshr(Addr line_addr)
 {
+    if (freeMshrs_ == mshrs_.size())
+        return nullptr;
     for (Mshr &m : mshrs_) {
         if (m.valid && m.lineAddr == line_addr)
             return &m;
@@ -131,20 +145,11 @@ Cache::allocMshr(Addr line_addr)
             m.fillSent = false;
             m.lineAddr = line_addr;
             m.waiters.clear();
+            --freeMshrs_;
             return &m;
         }
     }
     return nullptr;
-}
-
-std::size_t
-Cache::freeMshrCount() const
-{
-    std::size_t n = 0;
-    for (const Mshr &m : mshrs_)
-        if (!m.valid)
-            ++n;
-    return n;
 }
 
 void
@@ -163,46 +168,44 @@ Cache::sendBelowOrRetry(const MemReq &req, Cycle now)
 void
 Cache::installLine(Addr line_addr, bool dirty, Cycle now)
 {
-    const std::size_t set = setIndex(line_addr);
-    Line *victim = nullptr;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Line &line = lines_[set * params_.assoc + w];
-        if (!line.valid) {
-            victim = &line;
+    // The first invalid way, else the least recently used one (the
+    // lowest way among equals).
+    const std::size_t base = setBase(line_addr);
+    std::size_t victim = base;
+    for (std::size_t w = base; w < base + params_.assoc; ++w) {
+        if (tags_[w] == kNoAddr) {
+            victim = w;
             break;
         }
-        if (!victim || line.lastUse < victim->lastUse)
-            victim = &line;
+        if (lines_[w].lastUse < lines_[victim].lastUse)
+            victim = w;
     }
-    if (victim->valid) {
+    if (tags_[victim] != kNoAddr) {
         ++stats_.evictions;
-        if (victim->dirty) {
+        if (lines_[victim].dirty) {
             ++stats_.writebacks;
             MemReq wb;
             wb.id = kNoReq;
             wb.kind = ReqKind::Writeback;
-            wb.addr = victim->tag;
+            wb.addr = tags_[victim];
             wb.size = static_cast<std::uint8_t>(
                 std::min<std::uint32_t>(params_.lineBytes, 255));
             sendBelowOrRetry(wb, now);
         }
     }
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->tag = line_addr;
-    victim->lastUse = now;
+    tags_[victim] = line_addr;
+    lines_[victim] = Line{dirty, now};
 }
 
 void
-Cache::processRequest(const MemReq &req, Cycle now)
+Cache::processRequest(const MemReq &req, std::size_t way, Cycle now)
 {
     const Addr la = lineAddr(req.addr);
     switch (req.kind) {
       case ReqKind::Clean: {
-        if (Line *line = lookup(req.addr)) {
-            // Data (if any was dirty here) travels with the clean.
-            line->dirty = false;
-        }
+        // Data (if any was dirty here) travels with the clean.
+        if (way != kNoWay)
+            lines_[way].dirty = false;
         ++stats_.cleansForwarded;
         ++inFlightCleans_;
         MemReq fwd = req;
@@ -211,9 +214,8 @@ Cache::processRequest(const MemReq &req, Cycle now)
         return;
       }
       case ReqKind::Writeback: {
-        if (Line *line = lookup(req.addr)) {
-            line->dirty = true;
-            line->lastUse = now;
+        if (way != kNoWay) {
+            lines_[way] = Line{true, now};
             ++stats_.hits;
         } else {
             // The victim carries the whole line: allocate without fill.
@@ -224,11 +226,11 @@ Cache::processRequest(const MemReq &req, Cycle now)
       }
       case ReqKind::Read:
       case ReqKind::Write: {
-        if (Line *line = lookup(req.addr)) {
+        if (way != kNoWay) {
             ++stats_.hits;
-            line->lastUse = now;
+            lines_[way].lastUse = now;
             if (req.kind == ReqKind::Write)
-                line->dirty = true;
+                lines_[way].dirty = true;
             scheduleResp(MemResp{req.id, req.kind, req.addr, req.core},
                          now + params_.latency);
             return;
@@ -240,7 +242,7 @@ Cache::processRequest(const MemReq &req, Cycle now)
             return;
         }
         Mshr *m = allocMshr(la);
-        ede_assert(m, "allocMshr after freeMshrCount check");
+        ede_assert(m, "allocMshr after the free-MSHR check");
         m->waiters.push_back(req);
         m->fillSent = true;
         MemReq fill;
@@ -282,6 +284,7 @@ Cache::handleResp(const MemResp &resp, Cycle now)
                      now + params_.latency);
     }
     m->valid = false;
+    ++freeMshrs_;
 }
 
 void
@@ -304,15 +307,16 @@ Cache::tick(Cycle now)
     // Process new requests, up to the port limit.
     for (std::uint32_t p = 0; p < params_.ports && !inputQ_.empty(); ++p) {
         const MemReq req = inputQ_.front();
+        const std::size_t way = lookup(req.addr);
         // A miss needs either a matching MSHR or a free one; stall the
         // head of the queue otherwise (the fill path is saturated).
         if ((req.kind == ReqKind::Read || req.kind == ReqKind::Write) &&
-            !lookup(req.addr) && !findMshr(lineAddr(req.addr)) &&
-            freeMshrCount() == 0) {
+            way == kNoWay && freeMshrs_ == 0 &&
+            !findMshr(lineAddr(req.addr))) {
             break;
         }
         inputQ_.pop_front();
-        processRequest(req, now);
+        processRequest(req, way, now);
     }
 }
 
@@ -321,12 +325,7 @@ Cache::idle() const
 {
     if (!inputQ_.empty() || !retryQ_.empty() || !respQ_.empty())
         return false;
-    if (inFlightCleans_ > 0)
-        return false;
-    for (const Mshr &m : mshrs_)
-        if (m.valid)
-            return false;
-    return true;
+    return inFlightCleans_ == 0 && freeMshrs_ == mshrs_.size();
 }
 
 void

@@ -17,7 +17,6 @@
 #define EDE_MEM_CACHE_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <queue>
 #include <string>
@@ -67,6 +66,38 @@ class MemSink
 
 /** Upward response callback. */
 using RespFn = std::function<void(const MemResp &, Cycle)>;
+
+/**
+ * FIFO of requests over a power-of-two ring that doubles when full,
+ * so a steady queue allocates nothing.
+ */
+class ReqRing
+{
+  public:
+    /** @param capacity slots to allocate up front (rounded up). */
+    explicit ReqRing(std::size_t capacity = 0);
+
+    bool empty() const { return head_ == tail_; }
+    std::size_t size() const { return tail_ - head_; }
+    const MemReq &front() const { return buf_[head_ & mask_]; }
+    void pop_front() { ++head_; }
+
+    void
+    push_back(const MemReq &req)
+    {
+        if (size() == buf_.size())
+            grow(buf_.size() * 2);
+        buf_[tail_++ & mask_] = req;
+    }
+
+  private:
+    void grow(std::size_t capacity);
+
+    std::vector<MemReq> buf_;
+    std::size_t mask_ = 0;
+    std::size_t head_ = 0;  ///< Pops so far; front at head_ & mask_.
+    std::size_t tail_ = 0;  ///< Pushes so far.
+};
 
 /** Static cache parameters. */
 struct CacheParams
@@ -149,6 +180,18 @@ class Cache : public MemSink
     /** Advance one cycle. */
     void tick(Cycle now);
 
+    /**
+     * True when tick(@p now) would act: input or a retry is queued,
+     * or a response is due by @p now.  Otherwise the tick is a no-op
+     * and MemSystem::tick passes the cache over.
+     */
+    bool
+    hasWork(Cycle now) const
+    {
+        return !inputQ_.empty() || !retryQ_.empty() ||
+               (!respQ_.empty() && respQ_.top().due <= now);
+    }
+
     bool tryAccept(const MemReq &req, Cycle now) override;
 
     /** True when no request is in flight anywhere in this cache. */
@@ -212,13 +255,15 @@ class Cache : public MemSink
     const CacheParams &params() const { return params_; }
 
   private:
+    /** Replacement state of one way; its tag lives in tags_. */
     struct Line
     {
-        bool valid = false;
         bool dirty = false;
-        Addr tag = 0;
         Cycle lastUse = 0;
     };
+
+    /** lookup()'s answer for an absent line. */
+    static constexpr std::size_t kNoWay = static_cast<std::size_t>(-1);
 
     struct Mshr
     {
@@ -236,15 +281,22 @@ class Cache : public MemSink
     };
 
     Addr lineAddr(Addr a) const { return a & ~static_cast<Addr>(mask_); }
-    std::size_t setIndex(Addr line_addr) const;
 
-    Line *lookup(Addr addr);
-    const Line *lookup(Addr addr) const;
-    void processRequest(const MemReq &req, Cycle now);
+    /** First way of @p line_addr's set in tags_ and lines_. */
+    std::size_t
+    setBase(Addr line_addr) const
+    {
+        const Addr block = line_addr >> lineShift_;
+        return (pow2Sets_ ? block & (numSets_ - 1) : block % numSets_) *
+               params_.assoc;
+    }
+
+    /** The way holding @p addr's line, or kNoWay. */
+    std::size_t lookup(Addr addr) const;
+    void processRequest(const MemReq &req, std::size_t way, Cycle now);
     void installLine(Addr line_addr, bool dirty, Cycle now);
     Mshr *findMshr(Addr line_addr);
     Mshr *allocMshr(Addr line_addr);
-    std::size_t freeMshrCount() const;
     void scheduleResp(const MemResp &resp, Cycle due);
     void sendBelowOrRetry(const MemReq &req, Cycle now);
 
@@ -253,12 +305,17 @@ class Cache : public MemSink
     RespFn respond_;
 
     std::uint32_t mask_;
+    unsigned lineShift_;        ///< log2(lineBytes).
     std::size_t numSets_;
-    std::vector<Line> lines_;   ///< numSets x assoc, row-major.
+    bool pow2Sets_;             ///< Index by mask, else by modulo.
+    /** Line address per way (kNoAddr = invalid), numSets x assoc. */
+    std::vector<Addr> tags_;
+    std::vector<Line> lines_;   ///< Parallel to tags_.
 
-    std::deque<MemReq> inputQ_;
-    std::deque<MemReq> retryQ_; ///< Requests below_ refused to accept.
+    ReqRing inputQ_;
+    ReqRing retryQ_;            ///< Requests below_ refused to accept.
     std::vector<Mshr> mshrs_;
+    std::size_t freeMshrs_;     ///< Invalid entries of mshrs_.
     std::priority_queue<PendingResp, std::vector<PendingResp>,
                         std::greater<PendingResp>> respQ_;
     std::uint64_t inFlightCleans_ = 0;

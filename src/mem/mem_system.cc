@@ -35,11 +35,15 @@ MemSystem::MemSystem(MemSystemParams params, unsigned coreCount)
         l1ds_.at(r.core)->handleResp(r, now);
     });
     // Each L1 serves one core, so it knows whose request finished.
-    pendingDone_.assign(coreCount, 0);
+    // A core request reaches its L1 once: a hit, its MSHR's fill or
+    // its clean's acknowledgement answers it.
+    done_.resize(coreCount);
     for (unsigned c = 0; c < coreCount; ++c) {
         l1ds_[c]->setRespFn([this, c](const MemResp &r, Cycle) {
-            if (r.id != kNoReq && done_.emplace(r.id, c).second)
-                ++pendingDone_[c];
+            if (r.id == kNoReq)
+                return;
+            done_[c].push_back(r.id);
+            ++doneCount_;
         });
     }
 }
@@ -113,13 +117,15 @@ MemSystem::sendClean(Addr addr, Cycle now, TraceIndex origin,
 }
 
 bool
-MemSystem::consumeDone(ReqId id)
+MemSystem::consumeDone(ReqId id, unsigned core)
 {
-    const auto it = done_.find(id);
-    if (it == done_.end())
+    std::vector<ReqId> &done = done_[core];
+    const auto it = std::find(done.begin(), done.end(), id);
+    if (it == done.end())
         return false;
-    --pendingDone_[it->second];
-    done_.erase(it);
+    *it = done.back();
+    done.pop_back();
+    --doneCount_;
     return true;
 }
 
@@ -138,11 +144,19 @@ MemSystem::warmLine(Addr addr, int level)
 void
 MemSystem::tick(Cycle now)
 {
+    // A cache without work would tick as a no-op.  Each is tested at
+    // its own turn, not up front: a level ticked earlier in this
+    // cycle may have handed it work (a fill whose dirty victim the
+    // level below refused queues a retry).
     ctrl_->tick(now);
-    l3_->tick(now);
-    l2_->tick(now);
-    for (auto &l1 : l1ds_)
-        l1->tick(now);
+    if (l3_->hasWork(now))
+        l3_->tick(now);
+    if (l2_->hasWork(now))
+        l2_->tick(now);
+    for (auto &l1 : l1ds_) {
+        if (l1->hasWork(now))
+            l1->tick(now);
+    }
 }
 
 void
@@ -172,13 +186,20 @@ Cycle
 MemSystem::nextEventCycle(Cycle now) const
 {
     // An unconsumed completion means a core acts on it next poll.
-    if (!done_.empty())
+    // Every hint is >= now, so the first level answering now is the
+    // minimum: the rest need not be asked.
+    if (doneCount_ != 0)
         return now;
-    Cycle next = std::min(l2_->nextEventCycle(now),
-                          std::min(l3_->nextEventCycle(now),
-                                   ctrl_->nextEventCycle(now)));
-    for (const auto &l1 : l1ds_)
+    Cycle next = ctrl_->nextEventCycle(now);
+    if (next > now)
+        next = std::min(next, l3_->nextEventCycle(now));
+    if (next > now)
+        next = std::min(next, l2_->nextEventCycle(now));
+    for (const auto &l1 : l1ds_) {
+        if (next <= now)
+            break;
         next = std::min(next, l1->nextEventCycle(now));
+    }
     return next;
 }
 

@@ -26,7 +26,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -98,11 +97,15 @@ class MemSystem
                                    unsigned core = 0);
     /// @}
 
-    /** Consume a completion: true exactly once per finished request. */
-    bool consumeDone(ReqId id);
+    /**
+     * Consume a completion of core @p core's request @p id: true
+     * exactly once per finished request, false for an unknown,
+     * unfinished or already consumed id.
+     */
+    bool consumeDone(ReqId id, unsigned core);
 
     /** True when a request of core @p core finished unconsumed. */
-    bool hasDone(unsigned core) const { return pendingDone_[core] != 0; }
+    bool hasDone(unsigned core) const { return !done_[core].empty(); }
 
     /**
      * Functional warmup: make @p addr's line resident (clean) in the
@@ -111,7 +114,10 @@ class MemSystem
      */
     void warmLine(Addr addr, int level);
 
-    /** Advance one cycle. */
+    /**
+     * Advance one cycle: the controller, then each cache that has
+     * work (Cache::hasWork) at its turn, memory side first.
+     */
     void tick(Cycle now);
 
     /** True when every component is drained. */
@@ -161,9 +167,9 @@ class MemSystem
     std::unique_ptr<Cache> l3_;
     std::unique_ptr<Cache> l2_;
     std::vector<std::unique_ptr<Cache>> l1ds_;  ///< One per core.
-    /** Unconsumed completions: request id -> issuing core. */
-    std::unordered_map<ReqId, unsigned> done_;
-    std::vector<std::size_t> pendingDone_;  ///< done_ entries per core.
+    /** Unconsumed completions per core, each id once, any order. */
+    std::vector<std::vector<ReqId>> done_;
+    std::size_t doneCount_ = 0;  ///< Entries over every list.
     ReqId nextId_ = 1;
     CoherenceStats coherence_;
 };

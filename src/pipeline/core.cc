@@ -148,7 +148,7 @@ OoOCore::pollLoads(Cycle now)
         return;
     for (auto it = outstandingLoads_.begin();
          it != outstandingLoads_.end();) {
-        if (mem_.consumeDone(it->first)) {
+        if (mem_.consumeDone(it->first, coreId_)) {
             InflightInst *in = rob_.find(it->second);
             ede_assert(in, "load completion for unknown seq ",
                        it->second);
@@ -162,7 +162,7 @@ OoOCore::pollLoads(Cycle now)
         }
     }
     for (auto it = orphanReqs_.begin(); it != orphanReqs_.end();) {
-        if (mem_.consumeDone(*it)) {
+        if (mem_.consumeDone(*it, coreId_)) {
             it = orphanReqs_.erase(it);
             progress_ = true; // May unblock finished().
         } else {
@@ -1135,23 +1135,14 @@ OoOCore::skipTarget(Cycle now) const
     // may advertise a cycle at which nothing happens after all, but
     // must never become actionable *before* its hint (DESIGN.md
     // section 10).  kNoCycle means "no intrinsic event".
-    Cycle target = std::min(wb_->nextEventCycle(now),
-                            timedEventCycle(now));
+    const Cycle target = std::min(wb_->nextEventCycle(now),
+                                  timedEventCycle(now));
 
     // The run-loop checks are cycle-count triggered, not event
-    // triggered: jump exactly onto each one's first firing cycle so
+    // triggered: jump exactly onto their first firing cycle so
     // analyzer invocations, degrade releases and watchdog aborts land
     // on the same cycle as under reference ticking.
-    if (params_.ede != EnforceMode::None) {
-        const Cycle edk_fire =
-            std::max(lastProgressCycle_ + params_.edkStallCycles + 1,
-                     lastEdkCheckCycle_ + params_.edkStallCycles);
-        target = std::min(target, std::max(now, edk_fire));
-    }
-    target = std::min(target,
-                      lastProgressCycle_ + params_.watchdogCycles + 1);
-    target = std::min(target, params_.maxCycles + 1);
-    return target;
+    return std::min(target, std::max(now, checkCycle()));
 }
 
 void

@@ -35,6 +35,7 @@
 #ifndef EDE_PIPELINE_CORE_HH
 #define EDE_PIPELINE_CORE_HH
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <queue>
@@ -219,8 +220,8 @@ class OoOCore
      * cycle before every core's pipeline.  @p timed is the run's
      * phase sample on a sampled host tick (PhaseSampler::tick), null
      * on every other tick.  Ends by recording the cross-core WAIT
-     * state this tick left (waitSeen_): a later core's change in the
-     * same cycle must still wake this one if it sleeps.
+     * state this tick left (waitSeen_): a later core's exit in the
+     * same cycle must still wake this one if it sleeps behind a WAIT.
      */
     void tickPipeline(Cycle now, HostProfile *timed);
 
@@ -267,6 +268,25 @@ class OoOCore
      * modes.  @return true when the run must stop (simError_ set).
      */
     bool runChecks(Cycle now);
+
+    /**
+     * The first cycle at which runChecks acts (runs the analyzer or
+     * stops the run): it is a no-op at every cycle before, until
+     * progress or a check moves the cycles it counts from.
+     */
+    Cycle
+    checkCycle() const
+    {
+        Cycle at = std::min(lastProgressCycle_ + params_.watchdogCycles + 1,
+                            params_.maxCycles + 1);
+        if (params_.ede != EnforceMode::None) {
+            at = std::min(at, std::max(lastProgressCycle_ +
+                                           params_.edkStallCycles + 1,
+                                       lastEdkCheckCycle_ +
+                                           params_.edkStallCycles));
+        }
+        return at;
+    }
 
     /**
      * Skip-ahead: the earliest cycle > @p now at which anything in
@@ -337,10 +357,11 @@ class OoOCore
      * After an idle tick with no refused load, the core's next tick
      * can differ from it only once one of its memory requests
      * finishes, one of its own timed events comes due, another core's
-     * WAIT counters drop (an exit), or runChecks releases a degrade
-     * gate.
+     * WAIT counters drop (an exit) far enough to open the gate of the
+     * WAIT at its ROB head, or runChecks releases a degrade gate.
      * Until then CoreGroup::run skips its pipeline; waking replays the
-     * skipped cycles' stall counters.
+     * skipped cycles' stall counters.  Its checks cannot act before
+     * checkAt_ either, so until then the loop skips those too.
      */
     /// @{
     /** Sleep from cycle @p now, after an idle tick at now-1. */
@@ -350,14 +371,31 @@ class OoOCore
         asleep_ = true;
         sleptAt_ = now;
         wakeAt_ = timedEventCycle(now);
+        checkAt_ = checkCycle();
+        // retire() reads the remote WAIT counters only for a WAIT at
+        // the ROB head, and the head cannot change while asleep.
+        waitHead_ = xcore_ && !rob_.empty() &&
+                    (rob_.front().di.op() == Op::WaitKey ||
+                     rob_.front().di.op() == Op::WaitAllKeys);
     }
 
-    /** True when the first three wake sources may have fired by @p now. */
+    /**
+     * True when one of the first three wake sources has fired by
+     * @p now; WAIT exits count once they open the head WAIT's gate.
+     */
     bool
-    wakeDue(Cycle now) const
+    wakeDue(Cycle now)
     {
-        return mem_.hasDone(coreId_) || now >= wakeAt_ ||
-               (xcore_ && xcore_->changes() != waitSeen_);
+        if (mem_.hasDone(coreId_) || now >= wakeAt_)
+            return true;
+        if (!waitHead_ || xcore_->changes() == waitSeen_)
+            return false;
+        // The exits since the last look change the tick only if they
+        // opened the head WAIT's gate; the next exit is looked at anew.
+        waitSeen_ = xcore_->changes();
+        const InflightInst &h = rob_.front();
+        return h.di.op() == Op::WaitKey ? waitKeyClear(h.di.si.edkUse)
+                                        : waitAllClear();
     }
 
     /** Replay the slept cycles before @p now and begin a tick. */
@@ -367,6 +405,24 @@ class OoOCore
         asleep_ = false;
         replayDeadTicks(now - sleptAt_);
         beginTick();
+    }
+
+    /** False for a sleeping core whose checks cannot act at @p now. */
+    bool checksDue(Cycle now) const { return !asleep_ || now >= checkAt_; }
+
+    /**
+     * After a sleeping core's checks ran at @p now: re-arm checkAt_,
+     * and wake the core if a degrade release progressed it.
+     * @return whether it progressed.
+     */
+    bool
+    sleeperChecked(Cycle now)
+    {
+        checkAt_ = checkCycle();
+        if (!progressed())
+            return false;
+        wake(now);
+        return true;
     }
     /// @}
 
@@ -486,6 +542,8 @@ class OoOCore
     bool asleep_ = false;
     Cycle sleptAt_ = 0;          ///< First cycle not ticked.
     Cycle wakeAt_ = kNoCycle;    ///< timedEventCycle at sleep.
+    Cycle checkAt_ = kNoCycle;   ///< checkCycle at sleep or last check.
+    bool waitHead_ = false;      ///< A WAIT heads the ROB (multi-core).
     /** CrossCoreOrdering::changes() right after the last tick. */
     std::uint64_t waitSeen_ = 0;
     /// @}

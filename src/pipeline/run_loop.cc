@@ -92,37 +92,43 @@ CoreGroup::run(const std::vector<const Trace *> &traces,
         if (prof)
             ++prof->hostTicks;
 
-        // Every unfinished core runs its per-cycle checks each tick,
-        // asleep or not (the analyzer has per-core side effects); any
-        // core's abort stops the whole group -- partial-machine
-        // results are not meaningful.  Callers check every core's
-        // simError().
+        // Every unfinished core runs its per-cycle checks each tick
+        // (the analyzer has per-core side effects), except a sleeping
+        // core before its checkAt_, where they cannot act; any core's
+        // abort stops the whole group -- partial-machine results are
+        // not meaningful.  Callers check every core's simError().
         for (std::size_t i = 0; i < n; ++i) {
-            if (running[i] && cores_[i]->runChecks(now))
+            if (running[i] && cores_[i]->checksDue(now) &&
+                cores_[i]->runChecks(now)) {
                 stopped = true;
+            }
         }
         if (stopped)
             break;
 
         // A cycle is dead only when *no* core progressed.  A sleeping
-        // core progresses only by a degrade release in its checks,
-        // which wakes it.  Under skip-ahead an idle core sleeps,
-        // unless its L1D refused a load: reference ticking retries
-        // (and counts) that every cycle.
+        // core progresses only by a degrade release in checks that
+        // ran, which wakes it; nothing else about it changed.  Under
+        // skip-ahead an idle core sleeps, unless its L1D refused a
+        // load: reference ticking retries (and counts) that every
+        // cycle.
         bool progressed = false;
         for (std::size_t i = 0; i < n; ++i) {
             OoOCore &c = *cores_[i];
             if (!running[i])
                 continue;
+            if (c.asleep_) {
+                if (c.checksDue(now))
+                    progressed |= c.sleeperChecked(now);
+                continue;
+            }
             const bool p = c.progressed();
             progressed |= p;
             if (c.finished()) {
                 c.stats_.cycles = now;
                 running[i] = false;
                 --live;
-            } else if (c.asleep_ && p) {
-                c.wake(now);
-            } else if (skip && !c.asleep_ && !p && !c.loadRefused_) {
+            } else if (skip && !p && !c.loadRefused_) {
                 c.sleep(now);
             }
         }
@@ -140,8 +146,10 @@ CoreGroup::run(const std::vector<const Trace *> &traces,
         // Dead tick: every cycle until the earliest advertised event
         // of the shared hierarchy or of any unfinished core (its
         // write buffer, timed events and check firing cycles) is an
-        // identical no-op, so jump there.  Attempts are counted
-        // exactly and timed on sampled ticks only, like the phases.
+        // identical no-op, so jump there.  Every hint is >= now, so
+        // once one answers now the attempt has failed and no further
+        // core is asked.  Attempts are counted exactly and timed on
+        // sampled ticks only, like the phases.
         Cycle target;
         {
             PhaseTimer timer(timed, &HostProfile::skipNanos);
@@ -150,7 +158,7 @@ CoreGroup::run(const std::vector<const Trace *> &traces,
             if (timed)
                 ++timed->skipAttempts;
             target = mem.nextEventCycle(now);
-            for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t i = 0; i < n && target > now; ++i) {
                 if (running[i])
                     target = std::min(target,
                                       cores_[i]->skipTarget(now));
@@ -180,12 +188,12 @@ CoreGroup::run(const std::vector<const Trace *> &traces,
         // degrade release there wakes its core.
         for (std::size_t i = 0; i < n; ++i) {
             OoOCore &c = *cores_[i];
-            if (!running[i])
+            if (!running[i] || !c.checksDue(now))
                 continue;
             if (c.runChecks(now))
                 stopped = true;
-            else if (c.asleep_ && c.progressed())
-                c.wake(now);
+            else if (c.asleep_)
+                c.sleeperChecked(now);
         }
         if (stopped)
             break;

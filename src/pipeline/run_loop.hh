@@ -15,11 +15,13 @@
  * Within the cycles it ticks, skip-ahead also lets an idle core
  * sleep: after a tick without progress (and without a refused load)
  * the group skips the core's pipeline until a completion addressed
- * to it, one of its own timed events, a cross-core WAIT counter
- * change or a degrade release by its checks wakes it; the core then
- * replays the skipped cycles' stall counters (DESIGN.md section 10
- * item 6).  Reference ticking runs every core every cycle.  A
- * one-core machine is a group of one; tests/golden pins its results.
+ * to it, one of its own timed events, cross-core WAIT counter exits
+ * that open the gate of a WAIT at its ROB head, or a degrade release
+ * by its checks wakes it; the core then replays the skipped cycles'
+ * stall counters (DESIGN.md section 10 item 6).  A sleeper's checks run only from
+ * their next firing cycle.  Reference ticking runs every core every
+ * cycle.  A one-core machine is a group of one; tests/golden pins
+ * its results.
  */
 
 #ifndef EDE_PIPELINE_RUN_LOOP_HH

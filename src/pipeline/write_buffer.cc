@@ -104,7 +104,7 @@ WriteBuffer::tick(Cycle now)
     //    finished request of this core, which is most ticks.
     for (std::size_t i = 0; mem_.hasDone(coreId_) && i < entries_.size();) {
         WbEntry &e = entries_[i];
-        if (e.pushing && mem_.consumeDone(e.req)) {
+        if (e.pushing && mem_.consumeDone(e.req, coreId_)) {
             completeEntry(i, now);
             continue;
         }

@@ -359,6 +359,295 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<1>(info.param)) + "way";
     });
 
+/**
+ * The tag array as Cache used to keep it: a valid bit per line and
+ * the set index (line / lineBytes) % numSets.
+ */
+class ReferenceTags
+{
+  public:
+    explicit ReferenceTags(const CacheParams &p)
+        : p_(p), numSets_(p.sizeBytes / (p.lineBytes * p.assoc)),
+          lines_(numSets_ * p.assoc)
+    {
+    }
+
+    std::size_t numSets() const { return numSets_; }
+
+    bool probe(Addr a) const { return find(a) != nullptr; }
+
+    bool
+    probeDirty(Addr a) const
+    {
+        const Line *l = find(a);
+        return l && l->dirty;
+    }
+
+    /** A Read or Write processed at @p now; @return whether it hit. */
+    bool
+    access(Addr a, bool write, Cycle now)
+    {
+        Line *l = find(a);
+        if (!l) {
+            ++misses;
+            return false;
+        }
+        ++hits;
+        l->lastUse = now;
+        l->dirty = l->dirty || write;
+        return true;
+    }
+
+    void fill(Addr a, bool dirty, Cycle now) { install(lineOf(a), dirty, now); }
+
+    void
+    writeback(Addr a, Cycle now)
+    {
+        if (Line *l = find(a)) {
+            ++hits;
+            l->dirty = true;
+            l->lastUse = now;
+        } else {
+            ++misses;
+            install(lineOf(a), true, now);
+        }
+    }
+
+    void
+    clean(Addr a)
+    {
+        if (Line *l = find(a))
+            l->dirty = false;
+    }
+
+    void
+    preload(Addr a, bool dirty, Cycle now)
+    {
+        if (Line *l = find(a))
+            l->dirty = l->dirty || dirty;
+        else
+            install(lineOf(a), dirty, now);
+    }
+
+    SnoopResult
+    snoopInvalidate(Addr a)
+    {
+        Line *l = find(a);
+        if (!l)
+            return SnoopResult::Miss;
+        const bool was_dirty = l->dirty;
+        l->valid = false;
+        l->dirty = false;
+        return was_dirty ? SnoopResult::Dirty : SnoopResult::Clean;
+    }
+
+    SnoopResult
+    snoopDowngrade(Addr a)
+    {
+        Line *l = find(a);
+        if (!l)
+            return SnoopResult::Miss;
+        if (!l->dirty)
+            return SnoopResult::Clean;
+        l->dirty = false;
+        return SnoopResult::Dirty;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t writebacks = 0;
+    std::vector<Addr> victims;  ///< Written-back lines, in order.
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        bool dirty = false;
+        Addr tag = 0;
+        Cycle lastUse = 0;
+    };
+
+    Addr lineOf(Addr a) const { return a & ~static_cast<Addr>(p_.lineBytes - 1); }
+
+    Line *
+    find(Addr a)
+    {
+        const Addr la = lineOf(a);
+        const std::size_t set = (la / p_.lineBytes) % numSets_;
+        for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+            Line &l = lines_[set * p_.assoc + w];
+            if (l.valid && l.tag == la)
+                return &l;
+        }
+        return nullptr;
+    }
+
+    const Line *
+    find(Addr a) const
+    {
+        return const_cast<ReferenceTags *>(this)->find(a);
+    }
+
+    void
+    install(Addr la, bool dirty, Cycle now)
+    {
+        const std::size_t set = (la / p_.lineBytes) % numSets_;
+        Line *victim = nullptr;
+        for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+            Line &l = lines_[set * p_.assoc + w];
+            if (!l.valid) {
+                victim = &l;
+                break;
+            }
+            if (!victim || l.lastUse < victim->lastUse)
+                victim = &l;
+        }
+        if (victim->valid) {
+            ++evictions;
+            if (victim->dirty) {
+                ++writebacks;
+                victims.push_back(victim->tag);
+            }
+        }
+        *victim = Line{true, dirty, la, now};
+    }
+
+    CacheParams p_;
+    std::size_t numSets_;
+    std::vector<Line> lines_;
+};
+
+class CacheTagsTest
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, std::uint32_t>>
+{
+};
+
+TEST_P(CacheTagsTest, MatchTheModuloIndexedReference)
+{
+    const auto [size_bytes, assoc] = GetParam();
+    CacheParams params;
+    params.name = "tags";
+    params.sizeBytes = size_bytes;
+    params.assoc = assoc;
+    params.latency = 2;
+    FakeBelow below;
+    Cache cache(params, &below);
+    cache.setRespFn([](const MemResp &, Cycle) {});
+    ReferenceTags ref(params);
+
+    // Four sets crowded past their ways, plus scattered lines, at
+    // random byte offsets and with high address bits set.
+    Rng rng(size_bytes + assoc);
+    const std::uint64_t sets = ref.numSets();
+    std::vector<Addr> pool;
+    for (int s = 0; s < 4; ++s) {
+        const std::uint64_t set = rng.below(sets);
+        for (std::uint32_t k = 0; k < assoc + 3; ++k) {
+            pool.push_back((set + sets * rng.below(1u << 24)) * 64 +
+                           rng.below(64));
+        }
+    }
+    for (int i = 0; i < 32; ++i)
+        pool.push_back(rng.below(1ull << 40));
+
+    // Warm every line at cycle 0, as pre-run warmup does: the crowded
+    // sets fill with ways tied on LRU age.
+    for (const Addr p : pool) {
+        cache.preload(p);
+        ref.preload(p, false, 0);
+    }
+    Cycle now = 1;
+    ReqId id = 1;
+    for (int step = 0; step < 3000; ++step) {
+        const Addr a = pool[rng.below(pool.size())];
+        const std::uint64_t op = rng.below(8);
+        SCOPED_TRACE("step " + std::to_string(step) + ", op " +
+                     std::to_string(op));
+        if (op < 5) {
+            const bool write = op >= 3;
+            ASSERT_TRUE(cache.tryAccept(
+                MemReq{id++, write ? ReqKind::Write : ReqKind::Read, a, 8},
+                now));
+            const std::size_t sent = below.reqs.size();
+            cache.tick(now);
+            if (!ref.access(a, write, now)) {
+                ASSERT_EQ(below.reqs.size(), sent + 1);
+                const MemReq fill = below.reqs.back();
+                ASSERT_EQ(fill.kind, ReqKind::Read);
+                cache.handleResp(MemResp{kNoReq, ReqKind::Read, fill.addr},
+                                 ++now);
+                ref.fill(a, write, now);
+            }
+        } else if (op == 5) {
+            ASSERT_TRUE(cache.tryAccept(
+                MemReq{kNoReq, ReqKind::Writeback, a, 64}, now));
+            cache.tick(now);
+            ref.writeback(a, now);
+        } else if (op == 6) {
+            ASSERT_TRUE(
+                cache.tryAccept(MemReq{id, ReqKind::Clean, a, 64}, now));
+            cache.tick(now);
+            ref.clean(a);
+            cache.handleResp(MemResp{id++, ReqKind::Clean, a}, ++now);
+        } else {
+            switch (rng.below(3)) {
+              case 0: {
+                const bool dirty = rng.below(2) == 1;
+                cache.preload(a, now, dirty);
+                ref.preload(a, dirty, now);
+                break;
+              }
+              case 1:
+                ASSERT_EQ(cache.snoopInvalidate(a), ref.snoopInvalidate(a));
+                break;
+              default:
+                ASSERT_EQ(cache.snoopDowngrade(a), ref.snoopDowngrade(a));
+                break;
+            }
+        }
+        for (int i = 0; i < 8 && !cache.idle(); ++i)
+            cache.tick(++now);
+        ASSERT_TRUE(cache.idle());
+        ++now;
+
+        const CacheStats &st = cache.stats();
+        ASSERT_EQ(st.hits, ref.hits);
+        ASSERT_EQ(st.misses, ref.misses);
+        ASSERT_EQ(st.evictions, ref.evictions);
+        ASSERT_EQ(st.writebacks, ref.writebacks);
+        std::vector<Addr> victims;
+        for (const MemReq &r : below.reqs) {
+            if (r.kind == ReqKind::Writeback)
+                victims.push_back(r.addr);
+        }
+        ASSERT_EQ(victims, ref.victims);
+        for (const Addr p : pool) {
+            ASSERT_EQ(cache.probe(p), ref.probe(p)) << std::hex << p;
+            ASSERT_EQ(cache.probeDirty(p), ref.probeDirty(p))
+                << std::hex << p;
+        }
+    }
+    EXPECT_GT(ref.evictions, 0u);
+    EXPECT_GT(ref.writebacks, 0u);
+}
+
+// The Table I L1D and L3 (power-of-two set counts, indexed by mask),
+// the 48 KiB L1D at 1, 2 and 4 ways and a 3 MiB 16-way L3 (indexed
+// by the modulo fallback).
+INSTANTIATE_TEST_SUITE_P(
+    SetCounts, CacheTagsTest,
+    ::testing::Values(std::tuple{48u * 1024, 3u},
+                      std::tuple{1024u * 1024, 16u},
+                      std::tuple{48u * 1024, 1u},
+                      std::tuple{48u * 1024, 2u},
+                      std::tuple{48u * 1024, 4u},
+                      std::tuple{3u * 1024 * 1024, 16u}),
+    [](const auto &info) {
+        return std::to_string(std::get<0>(info.param) /
+                              (64 * std::get<1>(info.param))) + "sets";
+    });
+
 TEST_F(CacheFixture, IdleReflectsOutstandingWork)
 {
     EXPECT_TRUE(cache->idle());

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+
+#include "common/random.hh"
 #include "mem/mem_system.hh"
 
 namespace ede {
@@ -288,7 +292,7 @@ TEST(MemSystemWarm, WarmLineMakesLoadsFast)
     const auto id = mem.sendLoad(0x123400, 8, now);
     ASSERT_TRUE(id.has_value());
     Cycle spent = 0;
-    while (!mem.consumeDone(*id)) {
+    while (!mem.consumeDone(*id, 0)) {
         mem.tick(now++);
         ASSERT_LT(++spent, 20u) << "warm load should hit L1";
     }
@@ -365,7 +369,7 @@ struct MemSystemFixture : ::testing::Test
     Cycle
     runUntilDone(ReqId id, Cycle limit = 100000)
     {
-        while (!mem.consumeDone(id)) {
+        while (!mem.consumeDone(id, 0)) {
             mem.tick(now++);
             EXPECT_LT(now, limit) << "request " << id << " hung";
             if (now >= limit)
@@ -460,6 +464,84 @@ TEST_F(MemSystemFixture, IdleAfterAllTraffic)
     while (!mem.idle() && now < 500000)
         mem.tick(now++);
     EXPECT_TRUE(mem.idle());
+}
+
+TEST(MemSystemDone, CompletionsStayWithTheirCore)
+{
+    // Two cores interleave loads, stores and cleans over shared DRAM
+    // and NVM lines.  Core 1 drains its completions only every
+    // seventh cycle, so they pile up while core 0's come and go.
+    MemSystem mem(MemSystemParams{}, 2);
+    const Addr nvm = mem.params().map.nvmBase();
+    Rng rng(7);
+    constexpr std::size_t kRequests = 400;
+    std::array<std::vector<ReqId>, 2> pending;  // Sent, not consumed.
+    std::set<ReqId> consumed;
+    std::size_t sent = 0;
+    for (Cycle now = 0;
+         now < 200000 && (sent < kRequests || !pending[0].empty() ||
+                          !pending[1].empty());
+         ++now) {
+        if (sent < kRequests && rng.below(3) == 0) {
+            const auto core = static_cast<unsigned>(rng.below(2));
+            const Addr a = (rng.below(2) ? nvm : 0x10000) +
+                           64 * rng.below(32) + 8 * rng.below(8);
+            std::optional<ReqId> id;
+            switch (rng.below(3)) {
+              case 0:
+                id = mem.sendLoad(a, 8, now, core);
+                break;
+              case 1:
+                id = mem.sendStore(a, 8, now, kNoOrigin, core);
+                break;
+              default:
+                id = mem.sendClean(a, now, kNoOrigin, core);
+                break;
+            }
+            if (id) {
+                pending[core].push_back(*id);
+                ++sent;
+            }
+        }
+        mem.tick(now);
+        if (mem.hasDone(0) || mem.hasDone(1))
+            EXPECT_EQ(mem.nextEventCycle(now + 1), now + 1);
+        for (unsigned c = 0; c < 2; ++c) {
+            if (c == 1 && now % 7 != 0)
+                continue;
+            const unsigned other = 1 - c;
+            const bool had = mem.hasDone(c);
+            const bool other_had = mem.hasDone(other);
+            std::size_t got = 0;
+            for (auto it = pending[c].begin(); it != pending[c].end();) {
+                // Asked as the other core's, an id is not found (and
+                // stays unconsumed).
+                EXPECT_FALSE(mem.consumeDone(*it, other));
+                if (!mem.consumeDone(*it, c)) {
+                    ++it;
+                    continue;
+                }
+                EXPECT_FALSE(mem.consumeDone(*it, c)) << "consumed twice";
+                EXPECT_TRUE(consumed.insert(*it).second);
+                ++got;
+                it = pending[c].erase(it);
+            }
+            EXPECT_EQ(had, got > 0) << "cycle " << now << ", core " << c;
+            EXPECT_FALSE(mem.hasDone(c));
+            EXPECT_EQ(mem.hasDone(other), other_had);
+        }
+    }
+    EXPECT_EQ(sent, kRequests);
+    EXPECT_EQ(consumed.size(), sent);
+    EXPECT_TRUE(pending[0].empty() && pending[1].empty());
+    EXPECT_GT(mem.coherenceStats().snoops, 0u);
+    // Unknown and already consumed ids.
+    EXPECT_FALSE(mem.consumeDone(*consumed.rbegin() + 1, 0));
+    EXPECT_FALSE(mem.consumeDone(kNoReq, 1));
+    for (const ReqId id : consumed) {
+        EXPECT_FALSE(mem.consumeDone(id, 0));
+        EXPECT_FALSE(mem.consumeDone(id, 1));
+    }
 }
 
 } // namespace

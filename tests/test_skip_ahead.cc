@@ -432,6 +432,71 @@ TEST(SleepingCores, WaitReleasedByAHigherIndexCoreWakes)
     expectSameRun(r);
 }
 
+TEST(SleepingCores, ExitWakesAWaitAtTheHead)
+{
+    // Core 1 parks WAIT_KEY 1 or WAIT_KEY 2 at its ROB head behind
+    // core 0's persists, which keep both keys in flight, and sleeps.
+    // Exits are then its only wake source, core 0 ticks first, and
+    // only an exit that clears the waited key may wake it: each such
+    // exit must wake it in the same cycle.
+    std::vector<Trace> traces(2);
+    {
+        TraceBuilder b(traces[0]);
+        for (int i = 0; i < 32; ++i) {
+            const Addr a = nvmRegion(0) + static_cast<Addr>(i) * 512;
+            b.str(2, 1, a, i);
+            b.str(2, 1, a + 256, i);
+            b.cvap(1, a, {1, 0});
+            b.cvap(1, a + 256, {2, 0});
+            b.dsbSy();
+        }
+    }
+    {
+        TraceBuilder b(traces[1]);
+        for (int i = 0; i < 32; ++i) {
+            b.ldr(3, 1, MiniSim::dramLine(i));
+            b.waitKey(static_cast<Edk>(1 + i % 2));
+            b.str(4, 1, MiniSim::dramLine(64 + i), i);
+        }
+    }
+    const auto r = runBothTickers(
+        SimConfig::paper(Config::IQ).withCoreCount(2), traces);
+    ASSERT_TRUE(r[1].ok()) << r[1].error.describe();
+    expectSameRun(r);
+}
+
+TEST(SleepingCores, AnalyzerFiresWhileAsleep)
+{
+    // Four cleans fill a 4-slot WPQ drained by one media writer, so
+    // core 1's key-1 cvap waits out a whole media write while its
+    // consumer sits EDE-gated in the issue queue.  Core 1 sleeps
+    // through that window, in which the analyzer finds an External
+    // stall every 40 cycles; a firing cycle off by one would change
+    // their count.  With core 0 busy the firings fall on live
+    // cycles, with core 0 idle on the landing cycles of jumps.
+    for (const int busy : {6000, 0}) {
+        SCOPED_TRACE(busy ? "core 0 busy" : "core 0 idle");
+        std::vector<Trace> traces{busyLoop(busy), Trace{}};
+        TraceBuilder b(traces[1]);
+        const Addr base = nvmRegion(1);  // One clean per media line.
+        for (int i = 0; i < 4; ++i)
+            b.cvap(1, base + static_cast<Addr>(i) * 256);
+        b.dsbSy();
+        b.cvap(1, base + 4 * 256, {1, 0});
+        b.str(3, 1, MiniSim::dramLine(0), 1, 0, {0, 1});
+        const auto r = runBothTickers(SimConfig::paper(Config::IQ)
+                                          .withCoreCount(2)
+                                          .withMem(tinyWpq())
+                                          .withEdkStallCycles(40),
+                                      traces);
+        ASSERT_TRUE(r[1].ok()) << r[1].error.describe();
+        const CoreStats &st = r[1].stats.perCore[1].stats;
+        EXPECT_GE(st.edkExternalStalls, 20u);
+        EXPECT_EQ(st.edkStuckDetected, 0u);
+        expectSameRun(r);
+    }
+}
+
 TEST(SleepingCores, DegradeReleaseWakesItsCore)
 {
     // Core 1 wedges on a forged forward EDE link (the EDK detector's
